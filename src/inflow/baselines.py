@@ -39,9 +39,6 @@ class RevInTransform:
     def train_mode(self, flag: bool = True) -> None:
         pass
 
-    def clear_caches(self) -> None:
-        self._norm.clear_cache()
-
 
 class IdentityTransform:
     """No-op transform; the backbone sees raw windows."""
@@ -59,7 +56,4 @@ class IdentityTransform:
         return {}
 
     def train_mode(self, flag: bool = True) -> None:
-        pass
-
-    def clear_caches(self) -> None:
         pass

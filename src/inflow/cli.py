@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .data import (
     write_manifest,
     zscore_fit_apply,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .evaluation import dump_forecast_trace, evaluate
 from .flow import FlowStack
 from .forecasters import ForecasterConfig, build_forecaster
@@ -111,9 +112,17 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         cfg = cls()
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown key {', '.join(unknown)}")
         for section_name, section in (("dataset", cfg.dataset), ("model", cfg.model),
                                       ("train", cfg.train)):
-            for k, v in d.get(section_name, {}).items():
+            values = d.get(section_name, {})
+            if not isinstance(values, dict):
+                raise ConfigError(f"config section {section_name!r} must be a JSON object")
+            for k, v in values.items():
                 if not hasattr(section, k):
                     raise ConfigError(f"unknown key {section_name}.{k}")
                 setattr(section, k, v)
@@ -134,6 +143,8 @@ class RunConfig:
                 f"unknown variant {self.model.variant!r}; choose from {VARIANTS}"
             )
         resolve_mode(self.model.variant, self.train.mode)
+        if self.train.batch_size < 1:
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.train.batch_size}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
 
@@ -153,8 +164,12 @@ def resolve_mode(variant: str, requested: str) -> str:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return RunConfig.from_dict(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
+    except (OSError, ValueError) as e:  # ValueError covers JSON and UTF-8 decoding
+        raise ConfigError(f"{path}: cannot read config: {e}") from e
+    return RunConfig.from_dict(d)
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
@@ -186,18 +201,29 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Read a checkpoint; a missing, truncated or corrupt file is a ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read checkpoint: {e}") from e
     if len(raw) < 8:
         raise ConfigError(f"{path}: not a checkpoint file")
     header_len = struct.unpack("<Q", raw[:8])[0]
-    header = json.loads(raw[8:8 + header_len].decode())
+    if header_len > len(raw) - 8:
+        raise ConfigError(f"{path}: header length {header_len} exceeds the file")
+    try:
+        header = json.loads(raw[8:8 + header_len].decode())
+        spans = {name: (tuple(int(n) for n in meta["shape"]), int(meta["offset"]))
+                 for name, meta in header.items()}
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise ConfigError(f"{path}: corrupt checkpoint header: {e!r}") from e
     payload = raw[8 + header_len:]
     out = {}
-    for name, meta in header.items():
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = meta["offset"]
+    for name, (shape, start) in spans.items():
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or start < 0 or start + 8 * count > len(payload):
+            raise ConfigError(f"{path}: tensor {name!r} lies outside the file")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         out[name] = arr.reshape(shape).astype(np.float64)
     return out
@@ -506,8 +532,8 @@ def main(argv: list[str] | None = None) -> int:
                            help="test-window index to dump a stage trace for (repeatable)")
 
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
+        cfg = _config_from_args(args)
         if args.command == "synth":
             cmd_synth(cfg)
         elif args.command == "train":
@@ -516,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_eval(cfg, args.checkpoint, trace_windows=args.trace)
         elif args.command == "ablate":
             cmd_ablate(cfg)
-    except ConfigError as e:
+    except (ConfigError, ContractError, DimensionError, NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -1,9 +1,8 @@
-"""Forecast quality metrics, multi-seed aggregation, and stage traces."""
+"""Forecast quality metrics and stage traces."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,48 +14,24 @@ from .pipeline import ForecastPipeline
 
 @dataclass
 class MetricReport:
-    """MSE/MAE for one configuration, optionally aggregated over seeds.
+    """Original-scale MSE/MAE of one pipeline over a set of windows.
 
-    `mse`/`mae` hold raw original-scale values; `scale_factors` only affect
-    the numbers shown in `to_dict`, never the stored ones.
+    `to_dict` repeats them as `reported_mse`/`reported_mae`, because
+    `metrics.json` written by `inflow eval` carries those keys.
     """
 
     mse: float
     mae: float
     num_windows: int
-    scale_factors: tuple[float, float] | None = None
-    per_seed: list[tuple[int, float, float]] = field(default_factory=list)
-    mse_mean: float | None = None
-    mse_std: float | None = None
-    mae_mean: float | None = None
-    mae_std: float | None = None
-
-    def scaled(self) -> tuple[float, float]:
-        if self.scale_factors is None:
-            return self.mse, self.mae
-        return self.mse * self.scale_factors[0], self.mae * self.scale_factors[1]
 
     def to_dict(self) -> dict:
-        mse_r, mae_r = self.scaled()
-        out = {
+        return {
             "mse": self.mse,
             "mae": self.mae,
-            "reported_mse": mse_r,
-            "reported_mae": mae_r,
+            "reported_mse": self.mse,
+            "reported_mae": self.mae,
             "num_windows": self.num_windows,
         }
-        if self.scale_factors is not None:
-            out["scale_factors"] = list(self.scale_factors)
-        if self.per_seed:
-            out["per_seed"] = [[s, m, a] for s, m, a in self.per_seed]
-            out["mse_mean"] = self.mse_mean
-            out["mse_std"] = self.mse_std
-            out["mae_mean"] = self.mae_mean
-            out["mae_std"] = self.mae_std
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _predict_batch(pipeline: ForecastPipeline, windows: list[WindowPair],
@@ -71,8 +46,8 @@ def _predict_batch(pipeline: ForecastPipeline, windows: list[WindowPair],
 
 
 def evaluate(pipeline: ForecastPipeline, windows: list[WindowPair],
-             zscore_stats: ZScoreStats | None = None, batch_size: int = 1024,
-             scale_factors: tuple[float, float] | None = None) -> MetricReport:
+             zscore_stats: ZScoreStats | None = None,
+             batch_size: int = 1024) -> MetricReport:
     """Original-scale MSE/MAE over every element of the given windows.
 
     Runs outside any tape, so no gradients are recorded. If the windows were
@@ -95,34 +70,7 @@ def evaluate(pipeline: ForecastPipeline, windows: list[WindowPair],
         sq_sum += float(np.sum(diff * diff))
         abs_sum += float(np.sum(np.abs(diff)))
         count += diff.size
-    return MetricReport(
-        mse=sq_sum / count,
-        mae=abs_sum / count,
-        num_windows=len(windows),
-        scale_factors=scale_factors,
-    )
-
-
-def aggregate_seeds(per_seed: list[tuple[int, MetricReport]],
-                    scale_factors: tuple[float, float] | None = None) -> MetricReport:
-    """Combine per-seed reports into mean/std summaries (std 0 for one seed)."""
-    if not per_seed:
-        raise ContractError("aggregate_seeds needs at least one report")
-    rows = [(seed, r.mse, r.mae) for seed, r in per_seed]
-    mses = np.array([r[1] for r in rows])
-    maes = np.array([r[2] for r in rows])
-    base = per_seed[0][1]
-    return MetricReport(
-        mse=float(mses.mean()),
-        mae=float(maes.mean()),
-        num_windows=base.num_windows,
-        scale_factors=scale_factors,
-        per_seed=rows,
-        mse_mean=float(mses.mean()),
-        mse_std=float(mses.std()),
-        mae_mean=float(maes.mean()),
-        mae_std=float(maes.std()),
-    )
+    return MetricReport(mse=sq_sum / count, mae=abs_sum / count, num_windows=len(windows))
 
 
 @dataclass

@@ -35,14 +35,12 @@ class InstanceNormLayer:
     so it can restore a window of any length.
     """
 
-    def __init__(self, num_variates: int, eps: float = 1e-5, affine: bool = True,
-                 detach_stats: bool = False):
+    def __init__(self, num_variates: int, eps: float = 1e-5, affine: bool = True):
         if eps <= 0:
             raise ConfigError(f"eps must be positive, got {eps}")
         self.num_variates = num_variates
         self.eps = eps
         self.affine = affine
-        self.detach_stats = detach_stats
         self.log_scale = Tensor(np.zeros(num_variates), requires_grad=affine)
         self.shift = Tensor(np.zeros(num_variates), requires_grad=affine)
         self._cache: tuple[Tensor, Tensor, int] | None = None
@@ -55,8 +53,6 @@ class InstanceNormLayer:
             )
         mu = ad.mean_axis(h, axis=1, keepdims=True)
         var = ad.var_axis(h, axis=1, keepdims=True)
-        if self.detach_stats:
-            mu, var = mu.detach(), var.detach()
         self._cache = (mu, var, h.shape[0])
         inv_std = ad.power(var + self.eps, -0.5)
         return (h - mu) * inv_std * ad.exp(self.log_scale) + self.shift
@@ -80,9 +76,6 @@ class InstanceNormLayer:
 
     def buffers(self) -> dict[str, Tensor]:
         return {} if self.affine else {"log_scale": self.log_scale, "shift": self.shift}
-
-    def clear_cache(self) -> None:
-        self._cache = None
 
 
 class BatchNormLayer:
@@ -142,9 +135,6 @@ class BatchNormLayer:
 
     def buffers(self) -> dict[str, Tensor]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def clear_cache(self) -> None:
-        self._cache = None
 
 
 class CouplingLayer:
@@ -216,9 +206,6 @@ class CouplingLayer:
     def buffers(self) -> dict[str, Tensor]:
         return {}
 
-    def clear_cache(self) -> None:
-        pass
-
 
 class PermuteLayer:
     """Reverse the variate order; parameter-free and its own inverse."""
@@ -237,22 +224,16 @@ class PermuteLayer:
     def buffers(self) -> dict[str, Tensor]:
         return {}
 
-    def clear_cache(self) -> None:
-        pass
-
 
 def _build_block(variant: str, num_variates: int, eps: float, hidden: int,
-                 rng: np.random.Generator | None, detach_stats: bool,
-                 warn_degenerate: bool) -> list:
+                 rng: np.random.Generator | None, warn_degenerate: bool) -> list:
     coupling = CouplingLayer(num_variates, hidden=hidden, rng=rng,
                              warn_degenerate=warn_degenerate)
     permute = PermuteLayer()
     if variant == "pre_norm":
-        norm = InstanceNormLayer(num_variates, eps=eps, detach_stats=detach_stats)
-        return [norm, coupling, permute]
+        return [InstanceNormLayer(num_variates, eps=eps), coupling, permute]
     if variant == "post_norm":
-        norm = InstanceNormLayer(num_variates, eps=eps, detach_stats=detach_stats)
-        return [coupling, permute, norm]
+        return [coupling, permute, InstanceNormLayer(num_variates, eps=eps)]
     if variant == "coupling_only":
         return [coupling, permute]
     if variant == "batch_norm":
@@ -269,7 +250,7 @@ class FlowStack:
     """
 
     def __init__(self, num_variates: int, num_blocks: int, variant: str = "pre_norm",
-                 hidden: int = 128, eps: float = 1e-5, detach_stats: bool = False,
+                 hidden: int = 128, eps: float = 1e-5,
                  rng: np.random.Generator | None = None, seed: int | None = None):
         if num_blocks < 0:
             raise ConfigError(f"num_blocks must be >= 0, got {num_blocks}")
@@ -282,7 +263,7 @@ class FlowStack:
         for block in range(num_blocks):
             # a degenerate single-variate coupling warns once per stack, not per block
             self.layers.extend(
-                _build_block(variant, num_variates, eps, hidden, rng, detach_stats,
+                _build_block(variant, num_variates, eps, hidden, rng,
                              warn_degenerate=block == 0)
             )
 
@@ -323,7 +304,3 @@ class FlowStack:
         for layer in self.layers:
             if isinstance(layer, BatchNormLayer):
                 layer.training = flag
-
-    def clear_caches(self) -> None:
-        for layer in self.layers:
-            layer.clear_cache()

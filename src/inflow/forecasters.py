@@ -27,7 +27,6 @@ class ForecasterConfig:
     hidden_width: int = 256
     depth: int | None = None  # trunk layers: mlp defaults to 3, nbeats_lite to 4
     num_blocks: int = 3
-    per_variate: bool = True
 
     def __post_init__(self):
         if self.lookback < 1 or self.horizon < 1 or self.num_variates < 1:
@@ -62,27 +61,16 @@ def _unfold_variates(y: Tensor, batch: int, num_variates: int) -> Tensor:
 
 
 class LinearForecaster:
-    """Single affine map from lookback to horizon.
-
-    With `per_variate` the same [L, H] map is applied to every variate;
-    otherwise one joint [L*D, H*D] map mixes variates.
-    """
+    """Single affine [L, H] map, applied to every variate."""
 
     def __init__(self, cfg: ForecasterConfig, rng: np.random.Generator | None = None):
         self.cfg = cfg
-        if cfg.per_variate:
-            self.head = Dense(cfg.lookback, cfg.horizon, rng=rng)
-        else:
-            self.head = Dense(cfg.lookback * cfg.num_variates,
-                              cfg.horizon * cfg.num_variates, rng=rng)
+        self.head = Dense(cfg.lookback, cfg.horizon, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         _check_input(x, self.cfg)
         b, _, d = x.shape
-        if self.cfg.per_variate:
-            return _unfold_variates(self.head(_fold_variates(x)), b, d)
-        flat = ad.reshape(x, (b, self.cfg.lookback * d))
-        return ad.reshape(self.head(flat), (b, self.cfg.horizon, d))
+        return _unfold_variates(self.head(_fold_variates(x)), b, d)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"head.{k}": p for k, p in self.head.parameters().items()}
@@ -93,18 +81,13 @@ class MLPForecaster:
 
     def __init__(self, cfg: ForecasterConfig, rng: np.random.Generator | None = None):
         self.cfg = cfg
-        in_size = cfg.lookback if cfg.per_variate else cfg.lookback * cfg.num_variates
-        out_size = cfg.horizon if cfg.per_variate else cfg.horizon * cfg.num_variates
-        sizes = [in_size] + [cfg.hidden_width] * cfg.depth + [out_size]
+        sizes = [cfg.lookback] + [cfg.hidden_width] * cfg.depth + [cfg.horizon]
         self.net = MLP(sizes, "relu", rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         _check_input(x, self.cfg)
         b, _, d = x.shape
-        if self.cfg.per_variate:
-            return _unfold_variates(self.net(_fold_variates(x)), b, d)
-        flat = ad.reshape(x, (b, self.cfg.lookback * d))
-        return ad.reshape(self.net(flat), (b, self.cfg.horizon, d))
+        return _unfold_variates(self.net(_fold_variates(x)), b, d)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"net.{k}": p for k, p in self.net.parameters().items()}
@@ -136,9 +119,6 @@ class NBeatsLite:
     its own forecast; the unexplained residual feeds the next block."""
 
     def __init__(self, cfg: ForecasterConfig, rng: np.random.Generator | None = None):
-        if not cfg.per_variate:
-            raise ConfigError("nbeats_lite processes variates independently; "
-                              "per_variate must stay enabled")
         self.cfg = cfg
         self.blocks = [
             NBeatsLiteBlock(cfg.lookback, cfg.horizon, cfg.hidden_width, cfg.depth, rng=rng)

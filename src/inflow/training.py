@@ -48,6 +48,8 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
 
@@ -166,6 +168,24 @@ def _batch_loss(pipeline: ForecastPipeline, batch: Batch, sub_step: str) -> tupl
     return tape, loss
 
 
+def _update_step(state: BiLevelState, pipeline: ForecastPipeline, batch: Batch,
+                 opts: tuple[Adam, ...], sub_step: str, clip_norm: float) -> float:
+    """One forward and backward on `batch`, then a step of each optimizer in `opts`.
+
+    Without the phi optimizer the transform runs frozen. Returns the batch loss.
+    """
+    if state.phi_opt in opts:
+        tape, loss = _batch_loss(pipeline, batch, sub_step)
+    else:
+        with pipeline.transform_frozen():
+            tape, loss = _batch_loss(pipeline, batch, sub_step)
+    tape.backward(loss)
+    for opt in opts:
+        _apply_update(state, opt, tape, clip_norm)
+    state.update_log.append((sub_step, batch.split))
+    return loss.item()
+
+
 def bilevel_step(state: BiLevelState, pipeline: ForecastPipeline,
                  inner_batch: Batch, outer_batch: Batch,
                  clip_norm: float = 5.0) -> float:
@@ -178,38 +198,10 @@ def bilevel_step(state: BiLevelState, pipeline: ForecastPipeline,
         raise ContractError(
             f"phi update requires an outer_val batch, got {outer_batch.split!r}"
         )
-    with pipeline.transform_frozen():
-        tape, loss = _batch_loss(pipeline, inner_batch, "theta")
-    tape.backward(loss)
-    _apply_update(state, state.theta_opt, tape, clip_norm)
-    state.update_log.append(("theta", inner_batch.split))
-    inner_loss = loss.item()
-
-    tape, loss = _batch_loss(pipeline, outer_batch, "phi")
-    tape.backward(loss)
-    _apply_update(state, state.phi_opt, tape, clip_norm)
-    state.update_log.append(("phi", outer_batch.split))
+    inner_loss = _update_step(state, pipeline, inner_batch, (state.theta_opt,), "theta",
+                              clip_norm)
+    _update_step(state, pipeline, outer_batch, (state.phi_opt,), "phi", clip_norm)
     return inner_loss
-
-
-def _joint_step(state: BiLevelState, pipeline: ForecastPipeline, batch: Batch,
-                clip_norm: float) -> float:
-    tape, loss = _batch_loss(pipeline, batch, "joint")
-    tape.backward(loss)
-    _apply_update(state, state.theta_opt, tape, clip_norm)
-    _apply_update(state, state.phi_opt, tape, clip_norm)
-    state.update_log.append(("joint", batch.split))
-    return loss.item()
-
-
-def _theta_only_step(state: BiLevelState, pipeline: ForecastPipeline, batch: Batch,
-                     clip_norm: float) -> float:
-    with pipeline.transform_frozen():
-        tape, loss = _batch_loss(pipeline, batch, "theta")
-    tape.backward(loss)
-    _apply_update(state, state.theta_opt, tape, clip_norm)
-    state.update_log.append(("theta", batch.split))
-    return loss.item()
 
 
 @dataclass
@@ -277,6 +269,8 @@ def train(pipeline: ForecastPipeline, windows: list[WindowPair], cfg: TrainConfi
 
     history: list[tuple[float, float]] = []
     best_snapshot = None
+    opts = (state.theta_opt, state.phi_opt) if cfg.mode == "joint" else (state.theta_opt,)
+    sub_step = "joint" if cfg.mode == "joint" else "theta"
     for epoch in range(1, cfg.max_epochs + 1):
         pipeline.train_mode(True)
         epoch_losses = []
@@ -284,10 +278,9 @@ def train(pipeline: ForecastPipeline, windows: list[WindowPair], cfg: TrainConfi
             if cfg.mode == "bilevel":
                 step_loss = bilevel_step(state, pipeline, inner_batch,
                                          outer.next_batch(), cfg.clip_norm)
-            elif cfg.mode == "joint":
-                step_loss = _joint_step(state, pipeline, inner_batch, cfg.clip_norm)
             else:
-                step_loss = _theta_only_step(state, pipeline, inner_batch, cfg.clip_norm)
+                step_loss = _update_step(state, pipeline, inner_batch, opts, sub_step,
+                                         cfg.clip_norm)
             epoch_losses.append(step_loss)
         pipeline.eval_mode()
         val_report = evaluation.evaluate(pipeline, groups["val"], zscore_stats,

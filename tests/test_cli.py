@@ -1,4 +1,6 @@
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,19 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="model.widht"):
             RunConfig.from_dict({"model": {"widht": 3}})
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ConfigError, match="seed, trian"):
+            RunConfig.from_dict({"seed": [5], "trian": {"max_epochs": 1}})
+        with pytest.raises(ConfigError, match="train"):
+            RunConfig.from_dict({"train": 3})
+        with pytest.raises(ConfigError, match="JSON object"):
+            RunConfig.from_dict([1, 2])
+
+    def test_batch_size_below_one_rejected(self):
+        cfg = tiny_config("x", batch_size=0)
+        with pytest.raises(ConfigError, match="batch_size"):
+            cfg.validate()
 
     def test_mode_resolution(self):
         assert resolve_mode("inflow", "auto") == "bilevel"
@@ -106,6 +121,32 @@ class TestCheckpoint:
         save_checkpoint(path, state)
         with pytest.raises(ContractError, match="missing"):
             pipe.load_state(load_checkpoint(path))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _corrupt_header(path):
+    raw = bytearray(path.read_bytes())
+    raw[8] = ord("[")  # the header's opening brace
+    path.write_bytes(bytes(raw))
+
+
+def _bogus_header_length(path):
+    raw = path.read_bytes()
+    path.write_bytes(struct.pack("<Q", 2 ** 40) + raw[8:])
+
+
+@pytest.mark.parametrize("damage", [Path.unlink, _truncate, _corrupt_header,
+                                    _bogus_header_length],
+                         ids=["missing", "truncated", "corrupt", "bogus_header_length"])
+def test_bad_checkpoint_is_config_error_naming_path(tmp_path, damage):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"theta.w": np.arange(6.0).reshape(2, 3), "phi.b": np.ones(2)})
+    damage(path)
+    with pytest.raises(ConfigError, match="ckpt.bin"):
+        load_checkpoint(path)
 
 
 class TestSynth:
@@ -185,6 +226,23 @@ class TestTrainEval:
                    "--out", str(tmp_path / "cli_run"), "--variant", "none"])
         assert rc == 0
         assert (tmp_path / "cli_run" / "checkpoint_seed0.bin").exists()
+
+    def test_main_maps_package_errors_to_exit_code_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {"max_epoch": 3}}))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert "train.max_epoch" in capsys.readouterr().err
+        assert main(["train", "--config", str(tmp_path / "absent.json")]) == 2
+        # a checkpoint of the plain backbone lacks the flow's tensors: ContractError
+        cfg = tiny_config(tmp_path / "run")
+        save_config(cfg, tmp_path / "cfg.json")
+        assert main(["train", "--config", str(tmp_path / "cfg.json"),
+                     "--variant", "none"]) == 0
+        rc = main(["eval", "--config", str(tmp_path / "cfg.json"), "--variant", "inflow",
+                   "--checkpoint", str(tmp_path / "run" / "checkpoint_seed0.bin"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert "missing tensor" in capsys.readouterr().err
 
     def test_flag_precedence_over_config(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")

@@ -5,7 +5,7 @@ from inflow.autodiff import Tensor
 from inflow.baselines import IdentityTransform, RevInTransform
 from inflow.data import SeriesDataset, WindowPair, make_windows, split_windows, zscore_fit_apply
 from inflow.errors import ContractError
-from inflow.evaluation import aggregate_seeds, dump_forecast_trace, evaluate
+from inflow.evaluation import dump_forecast_trace, evaluate
 from inflow.forecasters import ForecasterConfig, build_forecaster
 from inflow.pipeline import ForecastPipeline
 
@@ -84,16 +84,6 @@ class TestEvaluate:
         assert report.mse == pytest.approx(mse_bf, abs=1e-10)
         assert report.mae == pytest.approx(mae_bf, abs=1e-10)
 
-    def test_scale_factor_only_affects_report(self):
-        rng = np.random.default_rng(3)
-        windows = window_list(rng)
-        pipe = ForecastPipeline(IdentityTransform(), ConstantForecaster(4, 3, 2))
-        plain = evaluate(pipe, windows)
-        scaled = evaluate(pipe, windows, scale_factors=(0.1, 10.0))
-        assert scaled.mse == plain.mse  # raw value untouched
-        assert scaled.scaled()[0] == pytest.approx(0.1 * plain.mse)
-        assert scaled.to_dict()["reported_mae"] == pytest.approx(10.0 * plain.mae)
-
     def test_zscored_windows_require_stats(self):
         rng = np.random.default_rng(4)
         windows = window_list(rng)
@@ -114,26 +104,6 @@ class TestEvaluate:
         raw = split_windows(make_windows(ds, 4, 2))["test"]
         expected = np.mean([(w.y - stats.mean[0]) ** 2 for w in raw])
         assert report.mse == pytest.approx(expected, rel=1e-12)
-
-
-class TestAggregate:
-    def test_single_seed_std_zero(self):
-        rng = np.random.default_rng(5)
-        windows = window_list(rng)
-        pipe = ForecastPipeline(IdentityTransform(), ConstantForecaster(4, 3, 2))
-        r = evaluate(pipe, windows)
-        agg = aggregate_seeds([(0, r)])
-        assert agg.mse_std == 0.0 and agg.mae_std == 0.0
-
-    def test_mean_over_listed_seeds(self):
-        rng = np.random.default_rng(6)
-        windows = window_list(rng)
-        pipe1 = ForecastPipeline(IdentityTransform(), ConstantForecaster(4, 3, 2, 0.0))
-        pipe2 = ForecastPipeline(IdentityTransform(), ConstantForecaster(4, 3, 2, 1.0))
-        r1, r2 = evaluate(pipe1, windows), evaluate(pipe2, windows)
-        agg = aggregate_seeds([(0, r1), (1, r2)])
-        assert agg.mse_mean == pytest.approx((r1.mse + r2.mse) / 2)
-        assert [s for s, _, _ in agg.per_seed] == [0, 1]
 
 
 class TestTrace:

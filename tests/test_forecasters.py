@@ -7,7 +7,6 @@ from inflow.errors import ConfigError, DimensionError
 from inflow.forecasters import (
     ForecasterConfig,
     LinearForecaster,
-    MLPForecaster,
     NBeatsLite,
     NBeatsLiteBlock,
     build_forecaster,
@@ -60,17 +59,6 @@ class TestLinear:
         x = Tensor(np.random.default_rng(2).normal(size=(3, 5, 3)))
         np.testing.assert_allclose(model.forward(x).numpy(), x.numpy(), atol=1e-12)
 
-    def test_joint_variant_mixes_variates(self):
-        cfg = small_cfg("linear", per_variate=False)
-        rng = np.random.default_rng(3)
-        model = LinearForecaster(cfg, rng=rng)
-        x = rng.normal(size=(2, 6, 3))
-        base = model.forward(Tensor(x)).numpy()
-        x2 = x.copy()
-        x2[:, :, 0] += 1.0
-        bumped = model.forward(Tensor(x2)).numpy()
-        assert np.any(np.abs(bumped[:, :, 1] - base[:, :, 1]) > 1e-9)
-
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "nbeats_lite"])
 def test_per_variate_independence(kind):
@@ -116,10 +104,6 @@ class TestNBeatsLite:
             b.forecast_head.bias.data[:] = 1.0  # each block adds a constant
         np.testing.assert_allclose(model.forward(x).numpy(), 2.0, atol=1e-12)
 
-    def test_requires_per_variate(self):
-        with pytest.raises(ConfigError):
-            NBeatsLite(small_cfg("nbeats_lite", per_variate=False))
-
 
 @pytest.mark.parametrize("kind", ["linear", "mlp", "nbeats_lite"])
 def test_gradients_match_finite_differences(kind):
@@ -136,10 +120,3 @@ def test_gradients_match_finite_differences(kind):
         return ad.mean_all(out * out)
 
     check_gradients(loss_fn, tensors, rng, num_probes=50)
-
-
-def test_mlp_joint_variant_shapes():
-    cfg = small_cfg("mlp", per_variate=False)
-    model = MLPForecaster(cfg, rng=np.random.default_rng(9))
-    x = Tensor(np.zeros((2, 6, 3)))
-    assert model.forward(x).shape == (2, 4, 3)

@@ -177,6 +177,37 @@ class TestFrozenTransform:
                    for n in before if n.startswith("theta."))
 
 
+class TestUpdateStep:
+    """Every mode's one epoch of `train`: which groups move, and the update log."""
+
+    EXPECTED_LOG = {
+        "bilevel": [("theta", "inner_train"), ("phi", "outer_val")],
+        "joint": [("joint", "inner_train")],
+        "backbone_only": [("theta", "inner_train")],
+    }
+
+    @pytest.mark.parametrize("mode", ["bilevel", "joint", "backbone_only"])
+    def test_one_epoch_moves_the_updated_groups(self, mode):
+        ds = ramp_dataset(total=100, num_variates=2)
+        windows = make_windows(ds, 4, 2, use_bilevel=True)
+        stack = FlowStack(2, num_blocks=1, variant="pre_norm", hidden=4,
+                          rng=np.random.default_rng(5))
+        pipe = linear_pipeline(num_variates=2, transform=stack)
+        before = pipe.snapshot()
+        cfg = TrainConfig(max_epochs=1, mode=mode, batch_size=16)
+        pipe, report = train(pipe, windows, cfg)
+        after = pipe.snapshot()
+
+        def moved(prefix):
+            return any(not np.array_equal(after[n], before[n])
+                       for n in before if n.startswith(prefix))
+
+        assert moved("theta.")
+        assert moved("phi.") == (mode != "backbone_only")
+        steps = -(-len(split_windows(windows)["inner_train"]) // cfg.batch_size)
+        assert report.update_log == self.EXPECTED_LOG[mode] * steps
+
+
 class TestStackWindows:
     def test_rejects_mixed_splits(self):
         ds = ramp_dataset()
@@ -200,6 +231,8 @@ class TestTrain:
             TrainConfig(mode="alternating")
         with pytest.raises(ConfigError):
             TrainConfig(inner_lr=0.0)
+        with pytest.raises(ConfigError, match="batch_size"):
+            TrainConfig(batch_size=0)
 
     def test_max_epochs_zero_returns_untrained(self):
         ds = ramp_dataset()
