@@ -6,7 +6,7 @@ maps predictions back. The transform is trained on held-out windows while
 the backbone is trained on the rest, via alternating first-order updates.
 """
 
-from .autodiff import Adam, AdamState, Tape, Tensor, adam_step, backward
+from .autodiff import Adam, AdamState, Tape, Tensor, adam_step
 from .baselines import IdentityTransform, RevInTransform
 from .data import (
     SeriesDataset,
@@ -51,7 +51,6 @@ __all__ = [
     "WindowPair",
     "ZScoreStats",
     "adam_step",
-    "backward",
     "bilevel_step",
     "build_forecaster",
     "dump_forecast_trace",

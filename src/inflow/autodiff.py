@@ -12,7 +12,7 @@ rank <= 3 so every gradient rule stays auditable by hand.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,9 +66,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -138,7 +135,30 @@ class Tape:
         self._prev = None
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        return backward(self, loss)
+        """Accumulate d(loss)/d(tensor) for every tensor recorded on this tape.
+
+        The loss must be a scalar produced while the tape was active. Nodes
+        are visited exactly once, in reverse recording order.
+        """
+        if loss.data.ndim != 0:
+            raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if not any(node.output is loss for node in self.nodes):
+            raise ContractError("loss was not produced on this tape")
+        grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
+        for node in reversed(self.nodes):
+            g_out = grads.get(node.output.uid)
+            if g_out is None:
+                continue
+            for inp, g_in in zip(node.inputs, node.backward(g_out)):
+                if g_in is None:
+                    continue
+                acc = grads.get(inp.uid)
+                if acc is None:
+                    grads[inp.uid] = g_in
+                else:
+                    grads[inp.uid] = acc + g_in
+        self.gradients = grads
+        return grads
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient of the last backward() w.r.t. `t`; zeros if unreachable."""
@@ -146,37 +166,6 @@ class Tape:
         if g is None:
             return np.zeros_like(t.data)
         return g
-
-
-def active_tape() -> Optional[Tape]:
-    return _ACTIVE_TAPE
-
-
-def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
-    """Accumulate d(loss)/d(tensor) for every tensor recorded on `tape`.
-
-    The loss must be a scalar produced while `tape` was active. Nodes are
-    visited exactly once, in reverse recording order.
-    """
-    if loss.data.ndim != 0:
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not any(node.output is loss for node in tape.nodes):
-        raise ContractError("loss was not produced on this tape")
-    grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
-    for node in reversed(tape.nodes):
-        g_out = grads.get(node.output.uid)
-        if g_out is None:
-            continue
-        for inp, g_in in zip(node.inputs, node.backward(g_out)):
-            if g_in is None:
-                continue
-            acc = grads.get(inp.uid)
-            if acc is None:
-                grads[inp.uid] = g_in
-            else:
-                grads[inp.uid] = acc + g_in
-    tape.gradients = grads
-    return grads
 
 
 def _as_tensor(x) -> Tensor:
@@ -612,13 +601,9 @@ def adam_step(state: AdamState, param: Tensor, grad: np.ndarray) -> None:
 class Adam:
     """Adam over a named parameter group, one AdamState per tensor."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = dict(params)
-        self.states = {
-            name: AdamState.for_param(p, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-            for name, p in self.params.items()
-        }
+        self.states = {name: AdamState.for_param(p, lr=lr) for name, p in self.params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():

@@ -12,12 +12,15 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -105,9 +108,7 @@ class RunConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dataset"]["split_ratio"] = list(self.dataset.split_ratio)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -125,12 +126,12 @@ class RunConfig:
             for k, v in values.items():
                 if not hasattr(section, k):
                     raise ConfigError(f"unknown key {section_name}.{k}")
-                setattr(section, k, v)
+                setattr(section, k, _checked(type(section), k, v, f"{section_name}.{k}"))
         cfg.dataset.split_ratio = tuple(cfg.dataset.split_ratio)
         if "out_dir" in d:
-            cfg.out_dir = d["out_dir"]
+            cfg.out_dir = _checked(cls, "out_dir", d["out_dir"], "out_dir")
         if "seeds" in d:
-            cfg.seeds = list(d["seeds"])
+            cfg.seeds = list(_checked(cls, "seeds", d["seeds"], "seeds"))
         return cfg
 
     def hash(self) -> str:
@@ -147,6 +148,26 @@ class RunConfig:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.train.batch_size}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the annotated type: an int fits a float, None an X | None."""
+    if get_origin(hint) in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            return False
+        items = get_args(hint) * len(value) if get_origin(hint) is list else get_args(hint)
+        return len(items) == len(value) and all(map(_fits, value, items))
+    if get_args(hint):
+        return any(_fits(value, a) for a in get_args(hint))
+    kinds = (int, float) if hint is float else hint
+    return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
+
+
+def _checked(owner: type, key: str, value, label: str):
+    """Return `value` if it fits the annotation of `owner.key`, else raise a ConfigError."""
+    if not _fits(value, get_type_hints(owner)[key]):
+        raise ConfigError(f"{label} must be {owner.__annotations__[key]}, got {value!r}")
+    return value
 
 
 def resolve_mode(variant: str, requested: str) -> str:
@@ -274,7 +295,7 @@ def build_pipeline(model: ModelSection, num_variates: int, seed: int) -> Forecas
 def build_dataset(section: DatasetSection) -> SeriesDataset:
     if section.csv_path is not None:
         return load_csv(section.csv_path, columns=section.columns,
-                        split_ratio=tuple(section.split_ratio))
+                        split_ratio=section.split_ratio)
     if section.preset is not None:
         cfg = SyntheticConfig.preset(
             section.preset, seed=section.seed,
@@ -321,16 +342,7 @@ def cmd_synth(cfg: RunConfig) -> Path:
 def _train_one_seed(cfg: RunConfig, windows, stats, seed: int, num_variates: int,
                     out: Path) -> dict:
     mode = resolve_mode(cfg.model.variant, cfg.train.mode)
-    train_cfg = TrainConfig(
-        inner_lr=cfg.train.inner_lr,
-        outer_lr=cfg.train.outer_lr,
-        batch_size=cfg.train.batch_size,
-        patience=cfg.train.patience,
-        max_epochs=cfg.train.max_epochs,
-        seed=seed,
-        mode=mode,
-        clip_norm=cfg.train.clip_norm,
-    )
+    train_cfg = TrainConfig(**{**asdict(cfg.train), "seed": seed, "mode": mode})
     pipeline = build_pipeline(cfg.model, num_variates, seed)
     pipeline, report = train(pipeline, windows, train_cfg, zscore_stats=stats)
     ckpt_path = out / f"checkpoint_seed{seed}.bin"
@@ -404,12 +416,12 @@ def cmd_eval(cfg: RunConfig, checkpoint: str | Path, out_dir: str | Path | None 
     return out
 
 
-def _ablate_variant(cfg_dict: dict, variant: str, out_root: str) -> dict:
-    """Run one roster entry across all seeds; used by the process pool."""
+def _ablate_variant(cfg_dict: dict, variant: str, out_root: Path) -> dict:
+    """Run one roster entry across all seeds in a worker process."""
     cfg = RunConfig.from_dict(cfg_dict)
     cfg.model.variant = variant
     cfg.train.mode = "auto"
-    out = Path(out_root) / variant
+    out = out_root / variant
     try:
         cmd_train(cfg, out_dir=out)
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -425,14 +437,9 @@ def cmd_ablate(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.json")
-    cfg_dict = cfg.to_dict()
-    threads = int(os.environ.get("INFLOW_THREADS", "1"))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_ablate_variant, cfg_dict, v, str(out)) for v in VARIANTS]
-            results = [f.result() for f in futures]
-    else:
-        results = [_ablate_variant(cfg_dict, v, str(out)) for v in VARIANTS]
+    with ProcessPoolExecutor(max_workers=min(len(VARIANTS), os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(_ablate_variant, repeat(cfg.to_dict()), VARIANTS, repeat(out)))
 
     hashes = {r["anchor_hash"] for r in results if r["status"] == "ok"}
     if len(hashes) > 1:

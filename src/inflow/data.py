@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,17 +62,7 @@ class SyntheticConfig:
         return cls(tau=SYNTHETIC_PRESETS[name], seed=seed, **overrides)
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "total_length": self.total_length,
-            "num_series": self.num_series,
-            "seed": self.seed,
-            "amplitude_range": list(self.amplitude_range),
-            "period_range": list(self.period_range),
-            "phase_range": list(self.phase_range),
-            "level_scale": list(self.level_scale),
-            "min_period": self.min_period,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -257,22 +247,19 @@ def write_manifest(ds: SeriesDataset, path: str | Path) -> None:
         fh.write("\n")
 
 
-def window_anchors(start: int, stop: int, lookback: int, horizon: int,
-                   stride: int = 1) -> list[int]:
+def window_anchors(start: int, stop: int, lookback: int, horizon: int) -> list[int]:
     """Anchors t with [t - lookback, t + horizon) fully inside [start, stop)."""
-    return list(range(start + lookback, stop - horizon + 1, stride))
+    return list(range(start + lookback, stop - horizon + 1))
 
 
 def make_windows(ds: SeriesDataset, lookback: int, horizon: int,
-                 use_bilevel: bool = False, stride: int = 1) -> list[WindowPair]:
+                 use_bilevel: bool = False) -> list[WindowPair]:
     """Cut stride-1 windows that lie fully inside each split region.
 
     With `use_bilevel`, the first 90% of training anchors (in time order)
     are tagged inner_train and the trailing 10% outer_val; the dataset's own
     validation region keeps the `val` tag for early stopping.
     """
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
     windows: list[WindowPair] = []
     for region in ("train", "val", "test"):
         start, stop = ds.region_bounds(region)
@@ -281,7 +268,7 @@ def make_windows(ds: SeriesDataset, lookback: int, horizon: int,
                 f"region {region!r} has {stop - start} steps, "
                 f"needs at least lookback + horizon = {lookback + horizon}"
             )
-        anchors = window_anchors(start, stop, lookback, horizon, stride)
+        anchors = window_anchors(start, stop, lookback, horizon)
         if region == "train" and use_bilevel:
             n_inner = int(len(anchors) * 0.9)
             tags = ["inner_train"] * n_inner + ["outer_val"] * (len(anchors) - n_inner)

@@ -147,7 +147,7 @@ class CouplingLayer:
     identity map.
     """
 
-    def __init__(self, num_variates: int, hidden: int = 128, num_hidden: int = 2,
+    def __init__(self, num_variates: int, hidden: int = 128,
                  rng: np.random.Generator | None = None, warn_degenerate: bool = True):
         self.num_variates = num_variates
         self.split_index = math.ceil(num_variates / 2)
@@ -162,7 +162,7 @@ class CouplingLayer:
             self.scale_net = None
             self.translate_net = None
         else:
-            sizes = [self.split_index] + [hidden] * num_hidden + [n_out]
+            sizes = [self.split_index, hidden, hidden, n_out]
             self.scale_net = MLP(sizes, "tanh", rng=rng, zero_init_last=True)
             self.translate_net = MLP(sizes, "tanh", rng=rng, zero_init_last=True)
 
@@ -225,19 +225,19 @@ class PermuteLayer:
         return {}
 
 
-def _build_block(variant: str, num_variates: int, eps: float, hidden: int,
+def _build_block(variant: str, num_variates: int, hidden: int,
                  rng: np.random.Generator | None, warn_degenerate: bool) -> list:
     coupling = CouplingLayer(num_variates, hidden=hidden, rng=rng,
                              warn_degenerate=warn_degenerate)
     permute = PermuteLayer()
     if variant == "pre_norm":
-        return [InstanceNormLayer(num_variates, eps=eps), coupling, permute]
+        return [InstanceNormLayer(num_variates), coupling, permute]
     if variant == "post_norm":
-        return [coupling, permute, InstanceNormLayer(num_variates, eps=eps)]
+        return [coupling, permute, InstanceNormLayer(num_variates)]
     if variant == "coupling_only":
         return [coupling, permute]
     if variant == "batch_norm":
-        return [BatchNormLayer(num_variates, eps=eps), coupling, permute]
+        return [BatchNormLayer(num_variates), coupling, permute]
     raise ConfigError(f"unknown flow variant {variant!r}; choose from {VARIANTS}")
 
 
@@ -250,20 +250,17 @@ class FlowStack:
     """
 
     def __init__(self, num_variates: int, num_blocks: int, variant: str = "pre_norm",
-                 hidden: int = 128, eps: float = 1e-5,
-                 rng: np.random.Generator | None = None, seed: int | None = None):
+                 hidden: int = 128, rng: np.random.Generator | None = None):
         if num_blocks < 0:
             raise ConfigError(f"num_blocks must be >= 0, got {num_blocks}")
         if rng is None:
-            rng = np.random.default_rng(0 if seed is None else seed)
+            rng = np.random.default_rng(0)
         self.num_variates = num_variates
-        self.num_blocks = num_blocks
-        self.variant = variant
         self.layers: list = []
         for block in range(num_blocks):
             # a degenerate single-variate coupling warns once per stack, not per block
             self.layers.extend(
-                _build_block(variant, num_variates, eps, hidden, rng,
+                _build_block(variant, num_variates, hidden, rng,
                              warn_degenerate=block == 0)
             )
 
@@ -271,8 +268,6 @@ class FlowStack:
     def from_layers(cls, layers: list, num_variates: int) -> "FlowStack":
         stack = cls.__new__(cls)
         stack.num_variates = num_variates
-        stack.num_blocks = 0
-        stack.variant = "custom"
         stack.layers = list(layers)
         return stack
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .autodiff import Tensor
@@ -20,7 +18,6 @@ class ForecastPipeline:
     def __init__(self, transform, forecaster):
         self.transform = transform
         self.forecaster = forecaster
-        self.training = True
 
     def predict(self, x: Tensor) -> Tensor:
         return self.predict_stages(x)[-1]
@@ -51,9 +48,11 @@ class ForecastPipeline:
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         tensors = self.state_tensors()
+        missing, extra = sorted(set(tensors) - set(arrays)), sorted(set(arrays) - set(tensors))
+        if missing or extra:
+            raise ContractError(f"checkpoint does not match the model: missing tensors "
+                                f"{missing}, tensors the model lacks {extra}")
         for name, tensor in tensors.items():
-            if name not in arrays:
-                raise ContractError(f"checkpoint is missing tensor {name!r}")
             value = arrays[name]
             if value.shape != tensor.data.shape:
                 raise ContractError(
@@ -69,22 +68,7 @@ class ForecastPipeline:
         self.load_state(snapshot)
 
     def train_mode(self, flag: bool = True) -> None:
-        self.training = flag
         self.transform.train_mode(flag)
 
     def eval_mode(self) -> None:
         self.train_mode(False)
-
-    @contextmanager
-    def transform_frozen(self):
-        """Run the transform as in evaluation for the duration of the block.
-
-        A frozen transform normalizes with its running statistics and leaves
-        them unchanged, so passes that do not train phi neither move phi's
-        buffers nor see batch statistics. The previous mode is restored on exit.
-        """
-        self.transform.train_mode(False)
-        try:
-            yield
-        finally:
-            self.transform.train_mode(self.training)

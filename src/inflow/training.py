@@ -174,11 +174,8 @@ def _update_step(state: BiLevelState, pipeline: ForecastPipeline, batch: Batch,
 
     Without the phi optimizer the transform runs frozen. Returns the batch loss.
     """
-    if state.phi_opt in opts:
-        tape, loss = _batch_loss(pipeline, batch, sub_step)
-    else:
-        with pipeline.transform_frozen():
-            tape, loss = _batch_loss(pipeline, batch, sub_step)
+    pipeline.train_mode(state.phi_opt in opts)
+    tape, loss = _batch_loss(pipeline, batch, sub_step)
     tape.backward(loss)
     for opt in opts:
         _apply_update(state, opt, tape, clip_norm)
@@ -218,21 +215,8 @@ class RunReport:
     clipped_steps: int
     update_log: list[tuple[str, str]]
 
-    def to_dict(self) -> dict:
-        return {
-            "loss_history": [[t, v] for t, v in self.loss_history],
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "seed": self.seed,
-            "mode": self.mode,
-            "config_hash": self.config_hash,
-            "clip_norm": self.clip_norm,
-            "clipped_steps": self.clipped_steps,
-            "update_log": [[k, s] for k, s in self.update_log],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def write_loss_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -272,7 +256,6 @@ def train(pipeline: ForecastPipeline, windows: list[WindowPair], cfg: TrainConfi
     opts = (state.theta_opt, state.phi_opt) if cfg.mode == "joint" else (state.theta_opt,)
     sub_step = "joint" if cfg.mode == "joint" else "theta"
     for epoch in range(1, cfg.max_epochs + 1):
-        pipeline.train_mode(True)
         epoch_losses = []
         for inner_batch in inner.epoch_batches():
             if cfg.mode == "bilevel":

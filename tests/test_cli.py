@@ -60,6 +60,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON object"):
             RunConfig.from_dict([1, 2])
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "batch_size", "8"),
+        ("model", "lookback", 4.5),
+        ("dataset", "tau", "24"),
+    ])
+    def test_value_of_wrong_type_names_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            RunConfig.from_dict({section: {key: value}})
+
     def test_batch_size_below_one_rejected(self):
         cfg = tiny_config("x", batch_size=0)
         with pytest.raises(ConfigError, match="batch_size"):
@@ -243,6 +252,14 @@ class TestTrainEval:
                    "--out", str(tmp_path / "eval")])
         assert rc == 2
         assert "missing tensor" in capsys.readouterr().err
+        # and a flow checkpoint has tensors the plain backbone lacks
+        assert main(["train", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "run_inflow")]) == 0
+        rc = main(["eval", "--config", str(tmp_path / "cfg.json"), "--variant", "none",
+                   "--checkpoint", str(tmp_path / "run_inflow" / "checkpoint_seed0.bin"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert "phi." in capsys.readouterr().err
 
     def test_flag_precedence_over_config(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
@@ -270,3 +287,9 @@ class TestAblate:
             for v in VARIANTS
         }
         assert len(hashes) == 1  # identical window sets across variants
+        # a worker process computes the same numbers as a run in this process
+        cmd_train(cfg, out_dir=tmp_path / "in_process")
+        results = json.loads((tmp_path / "in_process" / "manifest.json").read_text())["results"]
+        inflow_row = next(row for row in table if row["variant"] == "inflow")
+        assert inflow_row["per_seed"] == [[r["seed"], r["test_mse"], r["test_mae"]]
+                                          for r in results]

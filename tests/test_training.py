@@ -153,13 +153,6 @@ class TestFrozenTransform:
                                    rtol=1e-12, atol=1e-15)
         assert bn.training  # the phi pass runs, and leaves, the transform in training mode
 
-    def test_frozen_block_restores_eval_mode(self):
-        pipe = batch_norm_pipeline()
-        pipe.eval_mode()
-        with pipe.transform_frozen():
-            pass
-        assert not pipe.transform.layers[0].training
-
     def test_backbone_only_leaves_phi_and_buffers_bit_identical(self):
         ds = ramp_dataset(total=100, num_variates=2)
         windows = make_windows(ds, 4, 2, use_bilevel=True)
