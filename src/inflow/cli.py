@@ -29,6 +29,7 @@ from .data import (
     SeriesDataset,
     SyntheticConfig,
     ZScoreStats,
+    check_split_ratio,
     generate_synthetic,
     load_csv,
     make_windows,
@@ -146,6 +147,7 @@ class RunConfig:
         resolve_mode(self.model.variant, self.train.mode)
         if self.train.batch_size < 1:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.train.batch_size}")
+        check_split_ratio(self.dataset.split_ratio, "dataset.split_ratio")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
 

@@ -118,6 +118,13 @@ class WindowPair:
     zscored: bool = False
 
 
+def check_split_ratio(ratio, label: str = "split_ratio") -> None:
+    """Reject a ratio with a negative entry or no train share: it splits no series."""
+    if min(ratio) < 0 or ratio[0] <= 0:
+        raise ConfigError(f"{label} needs entries >= 0 and a positive train share, "
+                          f"got {list(ratio)}")
+
+
 def _split_points(total: int, ratio: tuple[int, int, int]) -> tuple[int, int]:
     r_total = sum(ratio)
     train_end = total * ratio[0] // r_total
@@ -176,6 +183,7 @@ def load_csv(path: str | Path, columns: list[str] | None = None,
     Selected columns must be fully numeric; missing values are an error
     rather than silently imputed.
     """
+    check_split_ratio(split_ratio)
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -20,6 +20,10 @@ from .nn import MLP
 
 VARIANTS = ("pre_norm", "post_norm", "coupling_only", "batch_norm")
 
+# BatchNormLayer's variance floor and the weight of each batch in its running averages
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 def _check_window(h: Tensor, op: str) -> None:
     if h.ndim != 3:
@@ -89,10 +93,8 @@ class BatchNormLayer:
     running averages come only from batches phi is trained on.
     """
 
-    def __init__(self, num_variates: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, num_variates: int):
         self.num_variates = num_variates
-        self.eps = eps
-        self.momentum = momentum
         self.log_scale = Tensor(np.zeros(num_variates), requires_grad=True)
         self.shift = Tensor(np.zeros(num_variates), requires_grad=True)
         self.running_mean = Tensor(np.zeros(num_variates))
@@ -111,12 +113,12 @@ class BatchNormLayer:
         if self.training:
             mu, var = self._batch_stats(h)
             self._cache = (mu, var)
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean.data = (1 - m) * self.running_mean.data + m * mu.data
             self.running_var.data = (1 - m) * self.running_var.data + m * var.data
         else:
             mu, var = self.running_mean, self.running_var
-        inv_std = ad.power(var + self.eps, -0.5)
+        inv_std = ad.power(var + BN_EPS, -0.5)
         return (h - mu) * inv_std * ad.exp(self.log_scale) + self.shift
 
     def inverse(self, h: Tensor) -> Tensor:
@@ -127,7 +129,7 @@ class BatchNormLayer:
             mu, var = self._cache
         else:
             mu, var = self.running_mean, self.running_var
-        std = ad.power(var + self.eps, 0.5)
+        std = ad.power(var + BN_EPS, 0.5)
         return (h - self.shift) * ad.exp(-self.log_scale) * std + mu
 
     def parameters(self) -> dict[str, Tensor]:

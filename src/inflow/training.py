@@ -13,6 +13,12 @@ A frozen transform is frozen whole: its batch-norm layers normalize with
 their running statistics and do not update them. Running statistics thus
 come only from batches phi is trained on: the outer_val batch of each
 bilevel step, or the inner_train batch of each joint step.
+
+The idle group of a step (phi in theta and `backbone_only` passes, theta in
+phi passes) is neither recorded nor differentiated: its parameters stop
+requiring gradients until backward has run. A theta pass thus records none
+of the transform's forward, and a phi pass computes no forecaster weight
+gradient. The updated group's gradients are the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -172,11 +178,28 @@ def _update_step(state: BiLevelState, pipeline: ForecastPipeline, batch: Batch,
                  opts: tuple[Adam, ...], sub_step: str, clip_norm: float) -> float:
     """One forward and backward on `batch`, then a step of each optimizer in `opts`.
 
-    Without the phi optimizer the transform runs frozen. Returns the batch loss.
+    Without the phi optimizer the transform runs frozen. The idle group, whose
+    optimizer is not in `opts`, stops requiring gradients until backward has
+    run: the tape records no op that depends on it alone, and backward computes
+    no gradient for it. The updated group's gradients are unchanged. Returns
+    the batch loss, or NaN if no optimizer in `opts` holds a parameter: such an
+    update runs nothing, as a group without parameters has no batch-norm state.
     """
+    if not any(opt.params for opt in opts):
+        state.update_log.append((sub_step, batch.split))
+        return float("nan")
     pipeline.train_mode(state.phi_opt in opts)
-    tape, loss = _batch_loss(pipeline, batch, sub_step)
-    tape.backward(loss)
+    idle = [p for opt in (state.theta_opt, state.phi_opt) if opt not in opts
+            for p in opt.params.values() if p.requires_grad]
+    for p in idle:
+        p.requires_grad = False
+    try:
+        # grad rules read requires_grad when backward runs, so restore it only after
+        tape, loss = _batch_loss(pipeline, batch, sub_step)
+        tape.backward(loss)
+    finally:
+        for p in idle:
+            p.requires_grad = True
     for opt in opts:
         _apply_update(state, opt, tape, clip_norm)
     state.update_log.append((sub_step, batch.split))

@@ -20,6 +20,7 @@ from inflow.cli import (
     save_checkpoint,
     save_config,
 )
+from inflow.data import load_csv
 from inflow.errors import ConfigError, ContractError
 
 
@@ -68,6 +69,23 @@ class TestConfig:
     def test_value_of_wrong_type_names_key(self, section, key, value):
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             RunConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("ratio", [[0, 0, 0], [6, -2, 2]])
+    def test_split_ratio_without_train_share_or_negative_rejected(self, tmp_path, capsys,
+                                                                 ratio):
+        csv = tmp_path / "series.csv"
+        csv.write_text("a\n" + "\n".join(str(i) for i in range(100)) + "\n")
+        with pytest.raises(ConfigError, match="split_ratio"):
+            load_csv(csv, split_ratio=tuple(ratio))
+        cfg = tiny_config(tmp_path / "run")
+        cfg.dataset.csv_path = str(csv)
+        cfg.dataset.split_ratio = tuple(ratio)
+        with pytest.raises(ConfigError, match="dataset.split_ratio"):
+            cfg.validate()
+        save_config(cfg, tmp_path / "cfg.json")
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "dataset.split_ratio" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_batch_size_below_one_rejected(self):
         cfg = tiny_config("x", batch_size=0)

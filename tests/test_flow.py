@@ -197,7 +197,7 @@ class TestBatchNorm:
 
     def test_running_stats_updated_with_momentum(self):
         rng = np.random.default_rng(11)
-        layer = BatchNormLayer(2, momentum=0.1)
+        layer = BatchNormLayer(2)
         x = rand_window(rng, variates=2)
         flat = x.numpy().reshape(-1, 2)
         layer.forward(x)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from inflow.autodiff import Tensor
+from inflow.autodiff import Adam, Tape, Tensor
 from inflow.baselines import IdentityTransform, RevInTransform
 from inflow.data import SeriesDataset, make_windows, split_windows
 from inflow.errors import ConfigError, ContractError, DimensionError, NumericError
-from inflow.flow import BatchNormLayer, FlowStack
+from inflow.flow import BN_MOMENTUM, BatchNormLayer, FlowStack
 from inflow.forecasters import ForecasterConfig, build_forecaster
 from inflow.pipeline import ForecastPipeline
 from inflow.training import (
@@ -144,7 +144,7 @@ class TestFrozenTransform:
         state = BiLevelState.for_pipeline(pipe, TrainConfig())
         bilevel_step(state, pipe, inner, outer)
         flat = outer.x.numpy().reshape(-1, 2)
-        m = bn.momentum
+        m = BN_MOMENTUM
         np.testing.assert_allclose(bn.running_mean.numpy(),
                                    (1 - m) * mean0 + m * flat.mean(axis=0),
                                    rtol=1e-12, atol=1e-15)
@@ -170,6 +170,12 @@ class TestFrozenTransform:
                    for n in before if n.startswith("theta."))
 
 
+def pre_norm_pipeline(num_variates=2):
+    stack = FlowStack(num_variates, num_blocks=1, variant="pre_norm", hidden=4,
+                      rng=np.random.default_rng(5))
+    return linear_pipeline(num_variates=num_variates, transform=stack)
+
+
 class TestUpdateStep:
     """Every mode's one epoch of `train`: which groups move, and the update log."""
 
@@ -183,9 +189,7 @@ class TestUpdateStep:
     def test_one_epoch_moves_the_updated_groups(self, mode):
         ds = ramp_dataset(total=100, num_variates=2)
         windows = make_windows(ds, 4, 2, use_bilevel=True)
-        stack = FlowStack(2, num_blocks=1, variant="pre_norm", hidden=4,
-                          rng=np.random.default_rng(5))
-        pipe = linear_pipeline(num_variates=2, transform=stack)
+        pipe = pre_norm_pipeline()
         before = pipe.snapshot()
         cfg = TrainConfig(max_epochs=1, mode=mode, batch_size=16)
         pipe, report = train(pipe, windows, cfg)
@@ -199,6 +203,67 @@ class TestUpdateStep:
         assert moved("phi.") == (mode != "backbone_only")
         steps = -(-len(split_windows(windows)["inner_train"]) // cfg.batch_size)
         assert report.update_log == self.EXPECTED_LOG[mode] * steps
+
+
+class TestIdleGroup:
+    """The group a step does not update is neither recorded nor differentiated."""
+
+    def test_freeze_changes_no_gradient(self, monkeypatch):
+        inner, outer, _ = bilevel_batches(ramp_dataset(num_variates=2))
+        pipe = pre_norm_pipeline()
+        state = BiLevelState.for_pipeline(pipe, TrainConfig())
+        idle_uids = {id(state.theta_opt): {p.uid for p in state.phi_opt.params.values()},
+                     id(state.phi_opt): {p.uid for p in state.theta_opt.params.values()}}
+        differentiated = []
+        backward, step = Tape.backward, Adam.step
+
+        def recording_backward(tape, loss):
+            grads = backward(tape, loss)
+            differentiated.append(set(grads))
+            return grads
+
+        def checked_step(opt, grads):
+            # the reference: every parameter requires grad, from the same pre-step values
+            batch = inner if opt is state.theta_opt else outer
+            tape = Tape()
+            with tape:
+                loss = loss_l2(pipe.predict(batch.x), batch.y)
+            backward(tape, loss)
+            assert set(grads) == set(opt.params)
+            for name, p in opt.params.items():
+                np.testing.assert_array_equal(grads[name], tape.grad(p))
+            assert differentiated[-1].isdisjoint(idle_uids[id(opt)])
+            assert idle_uids[id(opt)] & set(tape.gradients)  # the reference does the work
+            step(opt, grads)
+
+        monkeypatch.setattr(Tape, "backward", recording_backward)
+        monkeypatch.setattr(Adam, "step", checked_step)
+        bilevel_step(state, pipe, inner, outer, clip_norm=np.inf)
+        assert len(differentiated) == 2
+        assert all(p.requires_grad for p in pipe.parameters().values())
+
+    def test_flags_restored_after_non_finite_loss(self):
+        inner, outer, _ = bilevel_batches(ramp_dataset(num_variates=2))
+        pipe = pre_norm_pipeline()
+        pipe.forecaster.head.weight.data[:] = 1e200  # force overflow in the loss
+        state = BiLevelState.for_pipeline(pipe, TrainConfig())
+        with pytest.raises(NumericError, match="theta.*anchors"):
+            bilevel_step(state, pipe, inner, outer)
+        assert all(p.requires_grad for p in pipe.parameters().values())
+
+    @pytest.mark.filterwarnings("ignore:coupling layer with a single variate")
+    def test_update_over_an_empty_group_runs_and_changes_nothing(self):
+        ds = ramp_dataset(total=100)
+        windows = make_windows(ds, 4, 2, use_bilevel=True)
+        pipe = linear_pipeline(transform=FlowStack(1, 2, "coupling_only"))
+        assert pipe.phi_parameters() == {}
+        before = pipe.snapshot()
+        cfg = TrainConfig(max_epochs=1, mode="bilevel", batch_size=16)
+        pipe, report = train(pipe, windows, cfg)
+        steps = -(-len(split_windows(windows)["inner_train"]) // cfg.batch_size)
+        assert report.update_log == [("theta", "inner_train"), ("phi", "outer_val")] * steps
+        after = pipe.snapshot()
+        assert any(not np.array_equal(after[n], before[n]) for n in before)
 
 
 class TestStackWindows:
