@@ -135,10 +135,13 @@ class Tape:
         self._prev = None
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Accumulate d(loss)/d(tensor) for every tensor recorded on this tape.
+        """Accumulate d(loss)/d(leaf) for every leaf recorded on this tape.
 
         The loss must be a scalar produced while the tape was active. Nodes
-        are visited exactly once, in reverse recording order.
+        are visited exactly once, in reverse recording order. A node's output
+        gradient is complete when the node is visited, since every consumer
+        was recorded after it, so it is dropped once the node has used it:
+        only the gradients of leaves, the tensors no node produced, are kept.
         """
         if loss.data.ndim != 0:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -146,7 +149,7 @@ class Tape:
             raise ContractError("loss was not produced on this tape")
         grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
         for node in reversed(self.nodes):
-            g_out = grads.get(node.output.uid)
+            g_out = grads.pop(node.output.uid, None)
             if g_out is None:
                 continue
             for inp, g_in in zip(node.inputs, node.backward(g_out)):
@@ -161,7 +164,11 @@ class Tape:
         return grads
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient of the last backward() w.r.t. `t`; zeros if unreachable."""
+        """Gradient of the last backward() w.r.t. the leaf `t`; zeros if unreachable.
+
+        Only leaves keep a gradient: for a tensor some node produced this
+        reads zeros.
+        """
         g = self.gradients.get(t.uid)
         if g is None:
             return np.zeros_like(t.data)
@@ -377,6 +384,55 @@ def matmul(a, b) -> Tensor:
         return (ga, gb)
 
     return _record("matmul", (a, b), out, grad_fn)
+
+
+DENSE_ACTIVATIONS = ("tanh", "relu")
+
+
+def dense(x, weight, bias, activation: Optional[str] = None) -> Tensor:
+    """act(x @ weight + bias) as one tape node; bit-identical to the op chain.
+
+    x is rank 2 or 3, weight (in, out) and bias (out,). The bias add and the
+    activation run in place on the GEMM output, and the backward forms the
+    activation derivative from the output, so no intermediate is kept.
+    """
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if activation is not None and activation not in DENSE_ACTIVATIONS:
+        raise ContractError(f"dense: unknown activation {activation!r}")
+    if weight.ndim != 2 or x.ndim not in (2, 3):
+        raise DimensionError(f"dense: unsupported ranks {x.shape} @ {weight.shape}")
+    if x.shape[-1] != weight.shape[0]:
+        raise DimensionError(f"dense: inner dims differ for {x.shape} @ {weight.shape}")
+    if bias.shape != (weight.shape[1],):
+        raise DimensionError(f"dense: bias shape {bias.shape} for weight {weight.shape}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = x2 @ weight.data
+        data += bias.data
+    # tanh and relu of a finite value are finite, so this one check covers the op
+    _check_finite(data, "dense")
+    if activation == "tanh":
+        np.tanh(data, out=data)
+    elif activation == "relu":
+        np.maximum(data, 0.0, out=data)
+    out = _make(data.reshape(x.shape[:-1] + (weight.shape[1],)))
+
+    def grad_fn(g):
+        if activation == "tanh":
+            g_pre = out.data * out.data
+            np.subtract(1.0, g_pre, out=g_pre)
+            np.multiply(g, g_pre, out=g_pre)
+        elif activation == "relu":
+            g_pre = g * (out.data > 0.0)
+        else:
+            g_pre = g
+        g2 = g_pre.reshape(-1, weight.shape[1])
+        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if weight.requires_grad else None
+        gb = _unbroadcast(g_pre, bias.shape) if bias.requires_grad else None
+        return (gx, gw, gb)
+
+    return _record("dense", (x, weight, bias), out, grad_fn)
 
 
 def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:

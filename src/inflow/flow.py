@@ -176,9 +176,7 @@ class CouplingLayer:
         )
 
     def _scale(self, conditioner: Tensor) -> Tensor:
-        scale = ad.exp(ad.tanh(self.scale_net(conditioner)))
-        assert np.all(scale.data > 0.0)
-        return scale
+        return ad.exp(ad.tanh(self.scale_net(conditioner)))
 
     def forward(self, h: Tensor) -> Tensor:
         _check_window(h, "coupling forward")

@@ -28,13 +28,10 @@ class Dense:
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.matmul(x, self.weight) + self.bias
+        return ad.dense(x, self.weight, self.bias)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
-
-
-_ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
 
 
 class MLP:
@@ -48,9 +45,9 @@ class MLP:
                  rng: np.random.Generator | None = None, zero_init_last: bool = False):
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
-        if activation not in _ACTIVATIONS:
+        if activation not in ad.DENSE_ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        self.activation = _ACTIVATIONS[activation]
+        self.activation = activation
         self.layers = []
         for i in range(len(sizes) - 1):
             last = i == len(sizes) - 2
@@ -59,11 +56,9 @@ class MLP:
             )
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = self.activation(x)
-        return x
+        for layer in self.layers[:-1]:
+            x = ad.dense(x, layer.weight, layer.bias, self.activation)
+        return self.layers[-1](x)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}

@@ -276,3 +276,108 @@ class TestAdam:
         opt.step({"a": np.array([1.0]), "b": np.array([-1.0])})
         assert params["a"].numpy()[0] < 1.0
         assert params["b"].numpy()[0] > 2.0
+
+
+DENSE_ACTS = ["tanh", "relu", None]
+
+
+def _dense_inputs(rng, x_shape, zero_rows=False):
+    x = rng.uniform(-2, 2, size=x_shape)
+    w = rng.uniform(-1, 1, size=(x_shape[-1], 4))
+    b = rng.uniform(-1, 1, size=4)
+    if zero_rows:  # exact-zero pre-activations: x @ W = 0 on these rows, and b = 0
+        x.reshape(-1, x_shape[-1])[::2] = 0.0
+        b[:] = 0.0
+    return (Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+            Tensor(b, requires_grad=True))
+
+
+def _unfused(x, w, b, activation):
+    pre = ad.matmul(x, w) + b
+    return pre if activation is None else {"tanh": ad.tanh, "relu": ad.relu}[activation](pre)
+
+
+@pytest.mark.parametrize("x_shape", [(6, 3), (2, 5, 3)], ids=["rank2", "rank3"])
+@pytest.mark.parametrize("activation", DENSE_ACTS + ["relu_zeros"])
+def test_dense_equals_unfused_chain(activation, x_shape):
+    zero_rows = activation == "relu_zeros"
+    activation = "relu" if zero_rows else activation
+    rng = np.random.default_rng(11)
+    x, w, b = _dense_inputs(rng, x_shape, zero_rows)
+    weights = Tensor(rng.normal(size=x_shape[:-1] + (4,)))
+    results = []
+    for op in (ad.dense, _unfused):
+        with Tape() as tape:
+            out = op(x, w, b, activation)
+            loss = ad.sum_all(out * weights)
+        tape.backward(loss)
+        results.append((out.data, tape.grad(x), tape.grad(w), tape.grad(b)))
+    if zero_rows:
+        assert np.all((x.data @ w.data + b.data).reshape(-1, 4)[::2] == 0.0)
+    for fused, chain in zip(*results):
+        np.testing.assert_array_equal(fused, chain)
+
+
+@pytest.mark.parametrize("x_shape", [(6, 3), (2, 5, 3)], ids=["rank2", "rank3"])
+@pytest.mark.parametrize("activation", DENSE_ACTS)
+def test_dense_gradients_match_finite_differences(activation, x_shape):
+    rng = np.random.default_rng(13)
+    tensors = list(_dense_inputs(rng, x_shape))
+
+    def loss_fn():
+        out = ad.dense(*tensors, activation)
+        return ad.mean_all(out * out)
+
+    check_gradients(loss_fn, tensors, rng, num_probes=30)
+
+
+@pytest.mark.parametrize("x_shape", [(6, 3), (2, 5, 3)], ids=["rank2", "rank3"])
+@pytest.mark.parametrize("activation", DENSE_ACTS)
+def test_dense_overflow_raises_numeric_error(activation, x_shape):
+    x, w, b = _dense_inputs(np.random.default_rng(17), x_shape)
+    x.data[:] = 1e200  # with weights of 1e200, every product overflows
+    w.data[:] = 1e200
+    with pytest.raises(NumericError, match="dense"):
+        ad.dense(x, w, b, activation)
+
+
+@pytest.mark.parametrize("activation", DENSE_ACTS)
+def test_dense_shape_errors(activation):
+    x, w, b = _dense_inputs(np.random.default_rng(19), (2, 5, 3))
+    with pytest.raises(DimensionError):
+        ad.dense(x, w, Tensor(np.zeros(5)), activation)
+    with pytest.raises(DimensionError):
+        ad.dense(x, w, Tensor(np.zeros((1, 4))), activation)
+    with pytest.raises(DimensionError):
+        ad.dense(x, Tensor(np.zeros((2, 4))), b, activation)
+
+
+def test_dense_rejects_unknown_activation():
+    x, w, b = _dense_inputs(np.random.default_rng(23), (6, 3))
+    with pytest.raises(ContractError):
+        ad.dense(x, w, b, "sigmoid")
+
+
+def test_backward_keeps_only_leaf_gradients():
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    with Tape() as tape:
+        h = ad.dense(x, w, b, "tanh")
+        loss = ad.mean_all(ad.exp(h) * h)
+    grads = tape.backward(loss)
+    produced = {node.output.uid for node in tape.nodes}
+    assert set(grads) == set(tape.gradients) == {x.uid, w.uid, b.uid}
+    assert produced.isdisjoint(tape.gradients)
+
+
+def test_backward_accumulates_fan_out_before_use():
+    # y = 2p is read by two consumers; d/dp sum(y*y + 3y) = 2 * (2y + 3)
+    p = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    with Tape() as tape:
+        y = p * 2.0
+        loss = ad.sum_all(y * y) + ad.sum_all(y * 3.0)
+    tape.backward(loss)
+    np.testing.assert_array_equal(tape.grad(p), [14.0, -10.0, 10.0])
+    np.testing.assert_array_equal(tape.grad(y), [0.0, 0.0, 0.0])

@@ -11,6 +11,7 @@ from inflow.forecasters import (
     NBeatsLiteBlock,
     build_forecaster,
 )
+from inflow.nn import MLP
 
 from gradcheck import check_gradients
 
@@ -35,6 +36,11 @@ def test_config_validation():
         ForecasterConfig(kind="linear", lookback=0)
     with pytest.raises(ConfigError):
         ForecasterConfig(kind="transformer")
+
+
+def test_mlp_rejects_unknown_activation():
+    with pytest.raises(ValueError, match="sigmoid"):
+        MLP([3, 4, 2], "sigmoid")
 
 
 def test_input_shape_mismatch():
