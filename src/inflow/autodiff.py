@@ -615,6 +615,12 @@ def swap_last_axes(a) -> Tensor:
 # optimizer
 
 
+# Adam's moment decay rates and the floor added to the denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Moment estimates and step counter for one parameter tensor."""
@@ -623,17 +629,13 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param: Tensor, lr: float = 1e-3, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_param(cls, param: Tensor, lr: float = 1e-3) -> "AdamState":
         return cls(
             first_moment=np.zeros_like(param.data),
             second_moment=np.zeros_like(param.data),
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+            lr=lr,
         )
 
 
@@ -647,11 +649,11 @@ def adam_step(state: AdamState, param: Tensor, grad: np.ndarray) -> None:
         raise NumericError("adam_step: non-finite gradient, step refused")
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = state.first_moment / (1.0 - state.beta1 ** t)
-    v_hat = state.second_moment / (1.0 - state.beta2 ** t)
-    param.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.first_moment = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
+    state.second_moment = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.first_moment / (1.0 - ADAM_BETA1 ** t)
+    v_hat = state.second_moment / (1.0 - ADAM_BETA2 ** t)
+    param.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class Adam:

@@ -1,59 +1,29 @@
-"""Reference transforms: plain pass-through and reversible instance norm."""
+"""Reference transforms as flow stacks: RevIN is the one-layer stack, the identity the empty one."""
 
 from __future__ import annotations
 
-from .autodiff import Tensor
-from .flow import InstanceNormLayer
+from .flow import FlowStack, InstanceNormLayer
 
 
-class RevInTransform:
-    """One reversible instance-normalization layer with optional affine.
+class RevInTransform(FlowStack):
+    """Reversible instance normalization: a flow stack of one instance-norm layer.
 
     Normalizes each lookback window by its own statistics and restores them
-    onto the horizon prediction. Identical math to a flow stack holding a
-    single normalization layer and nothing else.
+    onto the horizon prediction.
     """
 
     def __init__(self, num_variates: int, eps: float = 1e-5, affine: bool = True):
         self._norm = InstanceNormLayer(num_variates, eps=eps, affine=affine)
+        self.layers = [self._norm]
 
-    def normalize(self, x: Tensor) -> Tensor:
-        return self._norm.forward(x)
-
-    def denormalize(self, y: Tensor) -> Tensor:
-        return self._norm.inverse(y)
-
-    # pipeline-facing aliases
-    def forward(self, x: Tensor) -> Tensor:
-        return self.normalize(x)
-
-    def inverse(self, y: Tensor) -> Tensor:
-        return self.denormalize(y)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {f"norm.{k}": p for k, p in self._norm.parameters().items()}
-
-    def buffers(self) -> dict[str, Tensor]:
-        return {f"norm.{k}": p for k, p in self._norm.buffers().items()}
-
-    def train_mode(self, flag: bool = True) -> None:
-        pass
+    # bound on the class itself, so a profiler that wraps this class's own
+    # methods times the RevIN arm apart from every other stack
+    forward = normalize = FlowStack.forward
+    inverse = denormalize = FlowStack.inverse
 
 
-class IdentityTransform:
-    """No-op transform; the backbone sees raw windows."""
+class IdentityTransform(FlowStack):
+    """No-op transform: a flow stack with no layers; the backbone sees raw windows."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-    def inverse(self, y: Tensor) -> Tensor:
-        return y
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {}
-
-    def buffers(self) -> dict[str, Tensor]:
-        return {}
-
-    def train_mode(self, flag: bool = True) -> None:
-        pass
+    def __init__(self):
+        self.layers = []

@@ -145,11 +145,19 @@ class RunConfig:
                 f"unknown variant {self.model.variant!r}; choose from {VARIANTS}"
             )
         resolve_mode(self.model.variant, self.train.mode)
-        if self.train.batch_size < 1:
-            raise ConfigError(f"train.batch_size must be >= 1, got {self.train.batch_size}")
+        for key, value in (("train.batch_size", self.train.batch_size),
+                           ("model.flow_hidden", self.model.flow_hidden),
+                           ("model.hidden_width", self.model.hidden_width),
+                           ("model.nbeats_blocks", self.model.nbeats_blocks)):
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         check_split_ratio(self.dataset.split_ratio, "dataset.split_ratio")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if self.dataset.seed < 0:
+            raise ConfigError(f"dataset.seed must be >= 0, got {self.dataset.seed}")
 
 
 def _fits(value, hint) -> bool:
@@ -332,9 +340,9 @@ def anchor_hash(windows) -> str:
 
 
 def cmd_synth(cfg: RunConfig) -> Path:
+    ds = build_dataset(cfg.dataset)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = build_dataset(cfg.dataset)
     save_csv(ds, out / "series.csv")
     write_manifest(ds, out / "dataset_manifest.json")
     print(f"wrote {out / 'series.csv'} ({ds.num_steps} steps, {ds.num_variates} variates)")

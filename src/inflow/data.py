@@ -52,6 +52,8 @@ class SyntheticConfig:
             )
         if self.num_series < 1:
             raise ConfigError(f"num_series must be >= 1, got {self.num_series}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def preset(cls, name: str, seed: int = 0, **overrides) -> "SyntheticConfig":

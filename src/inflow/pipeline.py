@@ -64,9 +64,6 @@ class ForecastPipeline:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.state_tensors().items()}
 
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        self.load_state(snapshot)
-
     def train_mode(self, flag: bool = True) -> None:
         self.transform.train_mode(flag)
 

@@ -303,7 +303,7 @@ def train(pipeline: ForecastPipeline, windows: list[WindowPair], cfg: TrainConfi
             if state.epochs_since_improve >= cfg.patience:
                 break
     if best_snapshot is not None:
-        pipeline.restore(best_snapshot)
+        pipeline.load_state(best_snapshot)
     pipeline.eval_mode()
     report = RunReport(
         loss_history=history,

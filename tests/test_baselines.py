@@ -86,6 +86,12 @@ class TestIdentity:
     def test_no_parameters(self):
         assert IdentityTransform().parameters() == {}
 
+    def test_no_buffers_and_either_mode(self):
+        t = IdentityTransform()
+        assert t.buffers() == {}
+        t.train_mode(True)
+        t.train_mode(False)
+
     def test_gradients_pass_through_unchanged(self):
         t = IdentityTransform()
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

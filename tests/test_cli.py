@@ -9,6 +9,7 @@ from inflow.cli import (
     VARIANTS,
     RunConfig,
     build_pipeline,
+    build_transform,
     cmd_ablate,
     cmd_eval,
     cmd_synth,
@@ -22,6 +23,7 @@ from inflow.cli import (
 )
 from inflow.data import load_csv
 from inflow.errors import ConfigError, ContractError
+from inflow.flow import FlowStack
 
 
 def tiny_config(out_dir, **train_overrides):
@@ -92,6 +94,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="batch_size"):
             cfg.validate()
 
+    @pytest.mark.parametrize("command, overrides, flags, key", [
+        ("train", {}, ["--seed", "-1"], "seeds"),
+        ("train", {"dataset": {"seed": -3}}, [], "dataset.seed"),
+        ("synth", {"dataset": {"seed": -3}}, [], "seed"),
+        ("train", {"model": {"flow_hidden": -1}}, [], "model.flow_hidden"),
+        ("train", {"model": {"hidden_width": 0}}, [], "model.hidden_width"),
+        ("train", {"model": {"hidden_width": -2}}, [], "model.hidden_width"),
+        ("train", {"model": {"backbone": "nbeats_lite", "nbeats_blocks": -1}}, [],
+         "model.nbeats_blocks"),
+    ], ids=["seed_flag", "dataset_seed", "synth_dataset_seed", "flow_hidden",
+            "hidden_width_zero", "hidden_width_negative", "nbeats_blocks"])
+    def test_out_of_range_value_exits_2_before_writing(self, tmp_path, capsys, command,
+                                                       overrides, flags, key):
+        cfg = tiny_config(tmp_path / "run").to_dict()
+        for section, values in overrides.items():
+            cfg[section].update(values)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main([command, "--config", str(tmp_path / "cfg.json"), *flags]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_mode_resolution(self):
         assert resolve_mode("inflow", "auto") == "bilevel"
         assert resolve_mode("inflow_t", "auto") == "bilevel"
@@ -108,6 +131,21 @@ class TestConfig:
         cfg.model.variant = "none"
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_builds_a_flow_stack(variant):
+    model = tiny_config("x").model
+    model.variant = variant
+    assert isinstance(build_transform(model, num_variates=3, seed=0), FlowStack)
+
+
+def test_revin_state_names_its_one_layer():
+    model = tiny_config("x").model
+    model.variant = "revin"
+    pipe = build_pipeline(model, num_variates=3, seed=0)
+    assert set(pipe.state_tensors()) == {"phi.layers.0.log_scale", "phi.layers.0.shift",
+                                         *pipe.theta_parameters()}
 
 
 class TestCheckpoint:
@@ -278,6 +316,17 @@ class TestTrainEval:
                    "--out", str(tmp_path / "eval")])
         assert rc == 2
         assert "phi." in capsys.readouterr().err
+        # revin tensors are named after the stack's one layer; the old names fail
+        cfg.model.variant = "revin"
+        state = {k.replace("phi.layers.0.", "phi.norm."): t.data
+                 for k, t in build_pipeline(cfg.model, num_variates=3, seed=0)
+                 .state_tensors().items()}
+        save_checkpoint(tmp_path / "old_revin.bin", state)
+        rc = main(["eval", "--config", str(tmp_path / "cfg.json"), "--variant", "revin",
+                   "--checkpoint", str(tmp_path / "old_revin.bin"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert "phi.norm.log_scale" in capsys.readouterr().err
 
     def test_flag_precedence_over_config(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
