@@ -386,53 +386,142 @@ def matmul(a, b) -> Tensor:
     return _record("matmul", (a, b), out, grad_fn)
 
 
-DENSE_ACTIVATIONS = ("tanh", "relu")
+MLP_ACTIVATIONS = ("tanh", "relu")
+
+# Hidden layers run over blocks of this many bytes of the widest hidden
+# activation, so a block stays in L2 cache from one layer to the next.
+MLP_BLOCK_BYTES = 256 * 1024
 
 
-def dense(x, weight, bias, activation: Optional[str] = None) -> Tensor:
-    """act(x @ weight + bias) as one tape node; bit-identical to the op chain.
-
-    x is rank 2 or 3, weight (in, out) and bias (out,). The bias add and the
-    activation run in place on the GEMM output, and the backward forms the
-    activation derivative from the output, so no intermediate is kept.
-    """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if activation is not None and activation not in DENSE_ACTIVATIONS:
-        raise ContractError(f"dense: unknown activation {activation!r}")
-    if weight.ndim != 2 or x.ndim not in (2, 3):
-        raise DimensionError(f"dense: unsupported ranks {x.shape} @ {weight.shape}")
-    if x.shape[-1] != weight.shape[0]:
-        raise DimensionError(f"dense: inner dims differ for {x.shape} @ {weight.shape}")
-    if bias.shape != (weight.shape[1],):
-        raise DimensionError(f"dense: bias shape {bias.shape} for weight {weight.shape}")
-    x2 = x.data.reshape(-1, x.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = x2 @ weight.data
-        data += bias.data
-    # tanh and relu of a finite value are finite, so this one check covers the op
-    _check_finite(data, "dense")
+def _activate(data: np.ndarray, activation: Optional[str]) -> None:
     if activation == "tanh":
         np.tanh(data, out=data)
     elif activation == "relu":
         np.maximum(data, 0.0, out=data)
-    out = _make(data.reshape(x.shape[:-1] + (weight.shape[1],)))
+
+
+def _activation_grad(g: np.ndarray, out: np.ndarray, activation: Optional[str],
+                     dst: Optional[np.ndarray] = None) -> np.ndarray:
+    """g times the activation's derivative, formed from the activation's output."""
+    if activation == "tanh":
+        d = np.multiply(out, out, out=dst)
+        np.subtract(1.0, d, out=d)
+        return np.multiply(g, d, out=d)
+    if activation == "relu":
+        return np.multiply(g, out > 0.0, out=dst)
+    if dst is None:
+        return g
+    np.copyto(dst, g)
+    return dst
+
+
+def _row_blocks(rows: int, block: int) -> list[tuple[int, int]]:
+    """Split rows into [lo, hi) blocks of `block` rows, the last taking the rest.
+
+    No block is shorter than `block` unless it holds every row: OpenBLAS
+    rounds a product with a few rows differently from one with many.
+    """
+    edges = list(range(0, rows - block + 1, block)) or [0]
+    return list(zip(edges, edges[1:] + [rows]))
+
+
+def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
+    """A stack of act(h @ weight + bias) layers as one tape node.
+
+    `layers` holds (weight, bias) pairs, weight (in, out) and bias (out,), and
+    `activations` one of MLP_ACTIVATIONS or None per layer; x is rank 2 or 3.
+
+    The hidden layers run over row blocks of about MLP_BLOCK_BYTES, so each
+    block passes through every hidden layer while it is still in cache; bias
+    add and activation run in place. Without a tape only the last hidden
+    layer is kept over all rows, and the others reuse one block-sized buffer
+    each. The last layer's GEMM, and in the backward each weight gradient and
+    bias sum, run once over all rows: OpenBLAS rounds a blocked product with
+    few output columns, or a row sum split into blocks, differently. For the
+    coupling and backbone widths the results are then bit-identical to the
+    chain of matmul, add and activation ops.
+    """
+    x = _as_tensor(x)
+    layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
+    activations = tuple(activations)
+    if not layers or len(activations) != len(layers):
+        raise ContractError(
+            f"mlp: {len(layers)} layers need as many activations, got {len(activations)}")
+    for act in activations:
+        if act is not None and act not in MLP_ACTIVATIONS:
+            raise ContractError(f"mlp: unknown activation {act!r}")
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"mlp: unsupported input rank {x.shape}")
+    width = x.shape[-1]
+    for i, (w, b) in enumerate(layers):
+        if w.ndim != 2 or w.shape[0] != width:
+            raise DimensionError(f"mlp: layer {i} weight {w.shape} for input width {width}")
+        if b.shape != (w.shape[1],):
+            raise DimensionError(f"mlp: layer {i} bias shape {b.shape} for weight {w.shape}")
+        width = w.shape[1]
+    inputs = (x,) + tuple(t for pair in layers for t in pair)
+    taped = _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+
+    lead = x.shape[:-1]
+    x2 = x.data.reshape(-1, x.shape[-1])
+    rows = x2.shape[0]
+    n_hidden = len(layers) - 1
+    block = rows
+    if n_hidden:
+        block = MLP_BLOCK_BYTES // (8 * max(w.shape[1] for w, _ in layers[:-1]))
+    blocks = _row_blocks(rows, max(1, block))
+    most = max(hi - lo for lo, hi in blocks)
+    # hidden[i] is layer i's output. It is kept over all rows when taped, and
+    # for the last hidden layer; otherwise each block reuses one buffer.
+    hidden = [np.empty((rows if taped or i == n_hidden - 1 else most, w.shape[1]))
+              for i, (w, _) in enumerate(layers[:-1])]
+    w_last, b_last = layers[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in blocks:
+            h = x2[lo:hi]
+            for i, buf in enumerate(hidden):
+                w, b = layers[i]
+                dst = buf[lo:hi] if len(buf) == rows else buf[:hi - lo]
+                np.matmul(h, w.data, out=dst)
+                dst += b.data
+                # tanh and relu of a finite value are finite
+                _check_finite(dst, f"mlp layer {i}")
+                _activate(dst, activations[i])
+                h = dst
+        data = (hidden[-1] if hidden else x2) @ w_last.data
+        data += b_last.data
+    _check_finite(data, f"mlp layer {n_hidden}")
+    _activate(data, activations[-1])
+    out = _make(data.reshape(lead + (w_last.shape[1],)))
 
     def grad_fn(g):
-        if activation == "tanh":
-            g_pre = out.data * out.data
-            np.subtract(1.0, g_pre, out=g_pre)
-            np.multiply(g, g_pre, out=g_pre)
-        elif activation == "relu":
-            g_pre = g * (out.data > 0.0)
-        else:
-            g_pre = g
-        g2 = g_pre.reshape(-1, weight.shape[1])
-        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = x2.T @ g2 if weight.requires_grad else None
-        gb = _unbroadcast(g_pre, bias.shape) if bias.requires_grad else None
-        return (gx, gw, gb)
+        # g_pre[i]: gradient of layer i's pre-activation, kept over all rows
+        # for a layer whose weight or bias needs a gradient, else per block
+        g_pre = [np.empty_like(h) if w.requires_grad or b.requires_grad else None
+                 for h, (w, b) in zip(hidden, layers)]
+        g_pre.append(_activation_grad(g.reshape(-1, w_last.shape[1]), data, activations[-1]))
+        gx = np.empty_like(x2) if x.requires_grad else None
+        if gx is not None or any(p is not None for p in g_pre[:-1]):
+            g_h = [np.empty((most, h.shape[1])) for h in hidden]
+            pre = [p if p is not None else np.empty((most, h.shape[1]))
+                   for p, h in zip(g_pre, hidden)]
+            for lo, hi in blocks:
+                g_blk = g_pre[-1][lo:hi]
+                for i in range(n_hidden - 1, -1, -1):
+                    g_out = g_h[i][:hi - lo]
+                    np.matmul(g_blk, layers[i + 1][0].data.T, out=g_out)
+                    dst = pre[i][lo:hi] if len(pre[i]) == rows else pre[i][:hi - lo]
+                    g_blk = _activation_grad(g_out, hidden[i][lo:hi], activations[i], dst)
+                if gx is not None:
+                    np.matmul(g_blk, layers[0][0].data.T, out=gx[lo:hi])
+        grads = [gx.reshape(x.shape) if gx is not None else None]
+        for layer_in, gp, (w, b) in zip([x2] + hidden, g_pre, layers):
+            grads.append(layer_in.T @ gp if w.requires_grad else None)
+            grads.append(_unbroadcast(gp.reshape(lead + (w.shape[1],)), b.shape)
+                         if b.requires_grad else None)
+        return grads
 
-    return _record("dense", (x, weight, bias), out, grad_fn)
+    return _record("mlp", inputs, out, grad_fn)
 
 
 def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:

@@ -144,20 +144,34 @@ class RunConfig:
             raise ConfigError(
                 f"unknown variant {self.model.variant!r}; choose from {VARIANTS}"
             )
-        resolve_mode(self.model.variant, self.train.mode)
-        for key, value in (("train.batch_size", self.train.batch_size),
-                           ("model.flow_hidden", self.model.flow_hidden),
-                           ("model.hidden_width", self.model.hidden_width),
-                           ("model.nbeats_blocks", self.model.nbeats_blocks)):
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
         check_split_ratio(self.dataset.split_ratio, "dataset.split_ratio")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        if self.dataset.seed < 0:
-            raise ConfigError(f"dataset.seed must be >= 0, got {self.dataset.seed}")
+        # train() accepts zero epochs, but a run with none has no model to report
+        if self.train.max_epochs < 1:
+            raise ConfigError(f"train.max_epochs must be >= 1, got {self.train.max_epochs}")
+        # the checks of the objects each command builds, run before any file is written
+        _named("train", self.train, lambda: _train_config(self, self.seeds[0]))
+        _named("model", self.model, lambda: _forecaster_config(self.model, num_variates=1),
+               {"kind": "backbone", "num_blocks": "nbeats_blocks"})
+        _named("model", self.model,
+               lambda: FlowStack.check(self.model.num_blocks, self.model.flow_hidden),
+               {"hidden": "flow_hidden"})
+        _named("dataset", self.dataset, lambda: _synthetic_config(self.dataset))
+
+
+def _named(section: str, values, check, renames: dict[str, str] | None = None) -> None:
+    """Run `check`; name the config key in a ConfigError whose message starts with a field."""
+    try:
+        check()
+    except ConfigError as e:
+        name, _, rest = str(e).partition(" ")
+        key = (renames or {}).get(name, name)
+        if not hasattr(values, key):
+            raise
+        raise ConfigError(f"{section}.{key} {rest}") from None
 
 
 def _fits(value, hint) -> bool:
@@ -287,9 +301,8 @@ def build_transform(model: ModelSection, num_variates: int, seed: int):
     )
 
 
-def build_pipeline(model: ModelSection, num_variates: int, seed: int) -> ForecastPipeline:
-    transform = build_transform(model, num_variates, seed)
-    fc = ForecasterConfig(
+def _forecaster_config(model: ModelSection, num_variates: int) -> ForecasterConfig:
+    return ForecasterConfig(
         kind=model.backbone,
         lookback=model.lookback,
         horizon=model.horizon,
@@ -298,26 +311,37 @@ def build_pipeline(model: ModelSection, num_variates: int, seed: int) -> Forecas
         depth=model.depth,
         num_blocks=model.nbeats_blocks,
     )
-    forecaster = build_forecaster(fc, rng=np.random.default_rng([seed, 11]))
+
+
+def build_pipeline(model: ModelSection, num_variates: int, seed: int) -> ForecastPipeline:
+    transform = build_transform(model, num_variates, seed)
+    forecaster = build_forecaster(_forecaster_config(model, num_variates),
+                                  rng=np.random.default_rng([seed, 11]))
     return ForecastPipeline(transform, forecaster)
 
 
-def build_dataset(section: DatasetSection) -> SeriesDataset:
+def _synthetic_config(section: DatasetSection) -> SyntheticConfig | None:
+    """The generator's settings, or None for a CSV dataset."""
     if section.csv_path is not None:
-        return load_csv(section.csv_path, columns=section.columns,
-                        split_ratio=section.split_ratio)
+        return None
     if section.preset is not None:
-        cfg = SyntheticConfig.preset(
+        return SyntheticConfig.preset(
             section.preset, seed=section.seed,
             total_length=section.total_length, num_series=section.num_series,
         )
-    elif section.tau is not None:
-        cfg = SyntheticConfig(tau=section.tau, seed=section.seed,
-                              total_length=section.total_length,
-                              num_series=section.num_series)
-    else:
-        raise ConfigError("dataset section needs a preset, a tau, or a csv_path")
-    return generate_synthetic(cfg)
+    if section.tau is not None:
+        return SyntheticConfig(tau=section.tau, seed=section.seed,
+                               total_length=section.total_length,
+                               num_series=section.num_series)
+    raise ConfigError("dataset section needs a preset, a tau, or a csv_path")
+
+
+def build_dataset(section: DatasetSection) -> SeriesDataset:
+    synthetic = _synthetic_config(section)
+    if synthetic is None:
+        return load_csv(section.csv_path, columns=section.columns,
+                        split_ratio=section.split_ratio)
+    return generate_synthetic(synthetic)
 
 
 def prepare_windows(cfg: RunConfig):
@@ -349,12 +373,15 @@ def cmd_synth(cfg: RunConfig) -> Path:
     return out
 
 
+def _train_config(cfg: RunConfig, seed: int) -> TrainConfig:
+    mode = resolve_mode(cfg.model.variant, cfg.train.mode)
+    return TrainConfig(**{**asdict(cfg.train), "seed": seed, "mode": mode})
+
+
 def _train_one_seed(cfg: RunConfig, windows, stats, seed: int, num_variates: int,
                     out: Path) -> dict:
-    mode = resolve_mode(cfg.model.variant, cfg.train.mode)
-    train_cfg = TrainConfig(**{**asdict(cfg.train), "seed": seed, "mode": mode})
     pipeline = build_pipeline(cfg.model, num_variates, seed)
-    pipeline, report = train(pipeline, windows, train_cfg, zscore_stats=stats)
+    pipeline, report = train(pipeline, windows, _train_config(cfg, seed), zscore_stats=stats)
     ckpt_path = out / f"checkpoint_seed{seed}.bin"
     save_checkpoint(ckpt_path, {k: t.data for k, t in pipeline.state_tensors().items()})
     (out / f"report_seed{seed}.json").write_text(report.to_json(), encoding="utf-8")

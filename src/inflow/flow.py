@@ -165,7 +165,8 @@ class CouplingLayer:
             self.translate_net = None
         else:
             sizes = [self.split_index, hidden, hidden, n_out]
-            self.scale_net = MLP(sizes, "tanh", rng=rng, zero_init_last=True)
+            self.scale_net = MLP(sizes, "tanh", rng=rng, zero_init_last=True,
+                                 activate_last=True)
             self.translate_net = MLP(sizes, "tanh", rng=rng, zero_init_last=True)
 
     def _split(self, h: Tensor) -> tuple[Tensor, Tensor]:
@@ -176,7 +177,7 @@ class CouplingLayer:
         )
 
     def _scale(self, conditioner: Tensor) -> Tensor:
-        return ad.exp(ad.tanh(self.scale_net(conditioner)))
+        return ad.exp(self.scale_net(conditioner))
 
     def forward(self, h: Tensor) -> Tensor:
         _check_window(h, "coupling forward")
@@ -251,8 +252,7 @@ class FlowStack:
 
     def __init__(self, num_variates: int, num_blocks: int, variant: str = "pre_norm",
                  hidden: int = 128, rng: np.random.Generator | None = None):
-        if num_blocks < 0:
-            raise ConfigError(f"num_blocks must be >= 0, got {num_blocks}")
+        self.check(num_blocks, hidden)
         if rng is None:
             rng = np.random.default_rng(0)
         self.num_variates = num_variates
@@ -263,6 +263,14 @@ class FlowStack:
                 _build_block(variant, num_variates, hidden, rng,
                              warn_degenerate=block == 0)
             )
+
+    @staticmethod
+    def check(num_blocks: int, hidden: int) -> None:
+        """Reject sizes no stack can be built with; each message starts with the argument."""
+        if num_blocks < 0:
+            raise ConfigError(f"num_blocks must be >= 0, got {num_blocks}")
+        if hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {hidden}")
 
     @classmethod
     def from_layers(cls, layers: list, num_variates: int) -> "FlowStack":

@@ -29,17 +29,15 @@ class ForecasterConfig:
     num_blocks: int = 3
 
     def __post_init__(self):
-        if self.lookback < 1 or self.horizon < 1 or self.num_variates < 1:
-            raise ConfigError(
-                f"lookback, horizon and num_variates must be >= 1, got "
-                f"({self.lookback}, {self.horizon}, {self.num_variates})"
-            )
+        # each message starts with the field it names; RunConfig.validate keys on that
         if self.kind not in ("linear", "mlp", "nbeats_lite"):
-            raise ConfigError(f"unknown forecaster kind {self.kind!r}")
+            raise ConfigError(f"kind {self.kind!r} is not a forecaster")
         if self.depth is None:
             self.depth = 4 if self.kind == "nbeats_lite" else 3
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        for name in ("lookback", "horizon", "num_variates", "hidden_width", "depth",
+                     "num_blocks"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _check_input(x: Tensor, cfg: ForecasterConfig) -> None:
@@ -99,12 +97,12 @@ class NBeatsLiteBlock:
     def __init__(self, lookback: int, horizon: int, width: int, depth: int,
                  rng: np.random.Generator | None = None):
         sizes = [lookback] + [width] * depth
-        self.trunk = MLP(sizes, "relu", rng=rng)
+        self.trunk = MLP(sizes, "relu", rng=rng, activate_last=True)
         self.backcast_head = Dense(width, lookback, zero_init=True)
         self.forecast_head = Dense(width, horizon, zero_init=True)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        h = ad.relu(self.trunk(x))
+        h = self.trunk(x)
         return self.backcast_head(h), self.forecast_head(h)
 
     def parameters(self) -> dict[str, Tensor]:

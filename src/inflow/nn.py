@@ -28,26 +28,29 @@ class Dense:
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.dense(x, self.weight, self.bias)
+        return ad.mlp(x, [(self.weight, self.bias)], [None])
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
 
 
 class MLP:
-    """Stack of Dense layers with a fixed activation between them.
+    """Stack of Dense layers with a fixed activation between them, run as one op.
 
-    The output layer is linear; `zero_init_last` starts it at the zero map,
-    which is how coupling networks and residual heads begin as identities.
+    The output layer is linear unless `activate_last` gives it the activation
+    too; `zero_init_last` starts it at the zero map, which is how coupling
+    networks and residual heads begin as identities.
     """
 
     def __init__(self, sizes: list[int], activation: str,
-                 rng: np.random.Generator | None = None, zero_init_last: bool = False):
+                 rng: np.random.Generator | None = None, zero_init_last: bool = False,
+                 activate_last: bool = False):
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
-        if activation not in ad.DENSE_ACTIVATIONS:
+        if activation not in ad.MLP_ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        self.activation = activation
+        self.activations = [activation] * (len(sizes) - 2) + [
+            activation if activate_last else None]
         self.layers = []
         for i in range(len(sizes) - 1):
             last = i == len(sizes) - 2
@@ -56,9 +59,8 @@ class MLP:
             )
 
     def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers[:-1]:
-            x = ad.dense(x, layer.weight, layer.bias, self.activation)
-        return self.layers[-1](x)
+        return ad.mlp(x, [(layer.weight, layer.bias) for layer in self.layers],
+                      self.activations)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}

@@ -50,14 +50,15 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.inner_lr <= 0 or self.outer_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        # each message starts with the field it names; RunConfig.validate keys on that
+        for name in ("inner_lr", "outer_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("patience", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
+            raise ConfigError(f"mode {self.mode!r} is unknown; choose from {MODES}")
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

@@ -354,6 +354,7 @@ def synthetic_experiment():
     return results
 
 
+@pytest.mark.roster
 def test_criterion_6_synthetic_directional(synthetic_experiment):
     r = synthetic_experiment
     wins_none = sum(r["inflow"][s] <= r["none"][s] for s in EXPERIMENT_SEEDS)
@@ -365,6 +366,7 @@ def test_criterion_6_synthetic_directional(synthetic_experiment):
             f"roster wall time {r['elapsed']:.0f}s")
 
 
+@pytest.mark.roster
 def test_criterion_7_ablation_ordering(synthetic_experiment):
     r = synthetic_experiment
     mean_nvp = float(np.mean(list(r["realnvp"].values())))

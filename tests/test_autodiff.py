@@ -281,6 +281,11 @@ class TestAdam:
 DENSE_ACTS = ["tanh", "relu", None]
 
 
+def _dense(x, w, b, activation):
+    """One dense layer: a one-layer mlp."""
+    return ad.mlp(x, [(w, b)], [activation])
+
+
 def _dense_inputs(rng, x_shape, zero_rows=False):
     x = rng.uniform(-2, 2, size=x_shape)
     w = rng.uniform(-1, 1, size=(x_shape[-1], 4))
@@ -292,9 +297,22 @@ def _dense_inputs(rng, x_shape, zero_rows=False):
             Tensor(b, requires_grad=True))
 
 
-def _unfused(x, w, b, activation):
-    pre = ad.matmul(x, w) + b
-    return pre if activation is None else {"tanh": ad.tanh, "relu": ad.relu}[activation](pre)
+def _unfused(x, layers, activations):
+    """The matmul + add + activation chain that mlp fuses."""
+    for (w, b), activation in zip(layers, activations):
+        x = ad.matmul(x, w) + b
+        if activation is not None:
+            x = {"tanh": ad.tanh, "relu": ad.relu}[activation](x)
+    return x
+
+
+def _run_taped(op, x, layers, activations, out_weights):
+    """Output, then the gradients of x and of each weight and bias."""
+    with Tape() as tape:
+        out = op(x, layers, activations)
+        loss = ad.sum_all(out * out_weights)
+    tape.backward(loss)
+    return [out.data, tape.grad(x)] + [tape.grad(t) for pair in layers for t in pair]
 
 
 @pytest.mark.parametrize("x_shape", [(6, 3), (2, 5, 3)], ids=["rank2", "rank3"])
@@ -305,17 +323,12 @@ def test_dense_equals_unfused_chain(activation, x_shape):
     rng = np.random.default_rng(11)
     x, w, b = _dense_inputs(rng, x_shape, zero_rows)
     weights = Tensor(rng.normal(size=x_shape[:-1] + (4,)))
-    results = []
-    for op in (ad.dense, _unfused):
-        with Tape() as tape:
-            out = op(x, w, b, activation)
-            loss = ad.sum_all(out * weights)
-        tape.backward(loss)
-        results.append((out.data, tape.grad(x), tape.grad(w), tape.grad(b)))
+    fused, chain = (_run_taped(op, x, [(w, b)], [activation], weights)
+                    for op in (ad.mlp, _unfused))
     if zero_rows:
         assert np.all((x.data @ w.data + b.data).reshape(-1, 4)[::2] == 0.0)
-    for fused, chain in zip(*results):
-        np.testing.assert_array_equal(fused, chain)
+    for got, want in zip(fused, chain):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("x_shape", [(6, 3), (2, 5, 3)], ids=["rank2", "rank3"])
@@ -325,7 +338,7 @@ def test_dense_gradients_match_finite_differences(activation, x_shape):
     tensors = list(_dense_inputs(rng, x_shape))
 
     def loss_fn():
-        out = ad.dense(*tensors, activation)
+        out = _dense(*tensors, activation)
         return ad.mean_all(out * out)
 
     check_gradients(loss_fn, tensors, rng, num_probes=30)
@@ -337,25 +350,124 @@ def test_dense_overflow_raises_numeric_error(activation, x_shape):
     x, w, b = _dense_inputs(np.random.default_rng(17), x_shape)
     x.data[:] = 1e200  # with weights of 1e200, every product overflows
     w.data[:] = 1e200
-    with pytest.raises(NumericError, match="dense"):
-        ad.dense(x, w, b, activation)
+    with pytest.raises(NumericError, match="mlp layer 0"):
+        _dense(x, w, b, activation)
 
 
 @pytest.mark.parametrize("activation", DENSE_ACTS)
 def test_dense_shape_errors(activation):
     x, w, b = _dense_inputs(np.random.default_rng(19), (2, 5, 3))
     with pytest.raises(DimensionError):
-        ad.dense(x, w, Tensor(np.zeros(5)), activation)
+        _dense(x, w, Tensor(np.zeros(5)), activation)
     with pytest.raises(DimensionError):
-        ad.dense(x, w, Tensor(np.zeros((1, 4))), activation)
+        _dense(x, w, Tensor(np.zeros((1, 4))), activation)
     with pytest.raises(DimensionError):
-        ad.dense(x, Tensor(np.zeros((2, 4))), b, activation)
+        _dense(x, Tensor(np.zeros((2, 4))), b, activation)
 
 
 def test_dense_rejects_unknown_activation():
     x, w, b = _dense_inputs(np.random.default_rng(23), (6, 3))
     with pytest.raises(ContractError):
-        ad.dense(x, w, b, "sigmoid")
+        _dense(x, w, b, "sigmoid")
+
+
+def _mlp_inputs(rng, lead, sizes, requires_grad=True):
+    x = Tensor(rng.uniform(-2, 2, size=lead + (sizes[0],)), requires_grad=True)
+    layers = [(Tensor(rng.uniform(-1.5, 1.5, size=(n_in, n_out)) / np.sqrt(n_in),
+                      requires_grad=requires_grad),
+               Tensor(rng.uniform(-0.5, 0.5, size=n_out), requires_grad=requires_grad))
+              for n_in, n_out in zip(sizes[:-1], sizes[1:])]
+    return x, layers
+
+
+# a coupling net's and the backbone's widths; each row count spans several
+# row blocks of MLP_BLOCK_BYTES plus a ragged remainder
+MLP_CASES = {
+    "coupling-rank2": ([3, 16, 16, 2], (3 * 2048 + 5,)),
+    "coupling-rank3": ([3, 16, 16, 2], (139, 48)),
+    "backbone-rank2": ([48, 128, 128, 48], (4 * 256 + 5,)),
+    "backbone-rank3": ([48, 128, 128, 48], (23, 48)),
+}
+
+
+@pytest.mark.parametrize("activate_last", [False, True], ids=["linear_last", "act_last"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("case", list(MLP_CASES))
+def test_mlp_equals_unfused_chain(case, activation, activate_last):
+    sizes, lead = MLP_CASES[case]
+    rng = np.random.default_rng(31)
+    x, layers = _mlp_inputs(rng, lead, sizes)
+    acts = [activation] * (len(layers) - 1) + [activation if activate_last else None]
+    weights = Tensor(rng.normal(size=lead + (sizes[-1],)))
+    fused, chain = (_run_taped(op, x, layers, acts, weights) for op in (ad.mlp, _unfused))
+    assert len(fused) == 2 + 2 * len(layers)
+    for got, want in zip(fused, chain):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(ad.mlp(x, layers, acts).data, fused[0])  # no tape
+
+
+def test_mlp_records_one_node():
+    rng = np.random.default_rng(37)
+    x, layers = _mlp_inputs(rng, (5, 4), [3, 6, 6, 2])
+    with Tape() as tape:
+        out = ad.mlp(x, layers, ["tanh", "tanh", "tanh"])
+    assert [node.op for node in tape.nodes] == ["mlp"]
+    assert out.requires_grad and out.shape == (5, 4, 2)
+
+
+def test_mlp_frozen_weights_get_no_gradient():
+    rng = np.random.default_rng(41)
+    x, layers = _mlp_inputs(rng, (4 * 256 + 5,), [48, 128, 128, 48], requires_grad=False)
+    acts = ["relu", "relu", None]
+    weights = Tensor(rng.normal(size=(4 * 256 + 5, 48)))
+    with Tape() as tape:
+        out = ad.mlp(x, layers, acts)
+        loss = ad.sum_all(out * weights)
+    (node,) = [n for n in tape.nodes if n.op == "mlp"]
+    grads = node.backward(weights.data)
+    assert grads[0] is not None and all(g is None for g in grads[1:])
+    tape.backward(loss)
+    assert set(tape.gradients) == {x.uid}
+    chain = _run_taped(_unfused, x, layers, acts, weights)
+    np.testing.assert_array_equal(tape.grad(x), chain[1])
+
+
+def test_mlp_gradients_match_finite_differences(monkeypatch):
+    # blocks of 2 rows over 7 rows: the backward crosses block edges
+    monkeypatch.setattr(ad, "MLP_BLOCK_BYTES", 2 * 8 * 5)
+    rng = np.random.default_rng(43)
+    x, layers = _mlp_inputs(rng, (7,), [3, 5, 4, 2])
+    tensors = [x] + [t for pair in layers for t in pair]
+
+    def loss_fn():
+        out = ad.mlp(x, layers, ["tanh", "relu", "tanh"])
+        return ad.mean_all(out * out)
+
+    check_gradients(loss_fn, tensors, rng, num_probes=40)
+
+
+def test_mlp_overflow_in_a_later_block_names_the_layer():
+    rng = np.random.default_rng(47)
+    x, layers = _mlp_inputs(rng, (3 * 2048 + 5,), [3, 16, 16, 2])
+    x.data[-3:] = 1e155  # only these rows, in the last block, overflow layer 1
+    layers[1][0].data[:] *= 1e155
+    with pytest.raises(NumericError, match="mlp layer 1"):
+        ad.mlp(x, layers, ["relu", "relu", None])
+
+
+def test_mlp_contract_errors():
+    rng = np.random.default_rng(53)
+    x, layers = _mlp_inputs(rng, (6,), [3, 5, 2])
+    with pytest.raises(ContractError):
+        ad.mlp(x, layers, ["tanh"])
+    with pytest.raises(ContractError):
+        ad.mlp(x, [], [])
+    with pytest.raises(ContractError):
+        ad.mlp(x, layers, ["tanh", "sigmoid"])
+    with pytest.raises(DimensionError):
+        ad.mlp(x, layers[::-1], ["tanh", None])
+    with pytest.raises(DimensionError):
+        ad.mlp(Tensor(np.zeros(3)), layers, ["tanh", None])
 
 
 def test_backward_keeps_only_leaf_gradients():
@@ -364,7 +476,7 @@ def test_backward_keeps_only_leaf_gradients():
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=4), requires_grad=True)
     with Tape() as tape:
-        h = ad.dense(x, w, b, "tanh")
+        h = ad.mlp(x, [(w, b)], ["tanh"])
         loss = ad.mean_all(ad.exp(h) * h)
     grads = tape.backward(loss)
     produced = {node.output.uid for node in tape.nodes}

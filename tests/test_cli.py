@@ -115,6 +115,29 @@ class TestConfig:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"train": {"max_epochs": 0}}, "train.max_epochs"),
+        ({"model": {"num_blocks": -1}}, "model.num_blocks"),
+        ({"model": {"depth": 0}}, "model.depth"),
+        ({"model": {"depth": -1}}, "model.depth"),
+        ({"model": {"lookback": 0}}, "model.lookback"),
+        ({"model": {"horizon": -4}}, "model.horizon"),
+        ({"train": {"patience": 0}}, "train.patience"),
+        ({"train": {"inner_lr": -1e-3}}, "train.inner_lr"),
+        ({"dataset": {"num_series": 0}}, "dataset.num_series"),
+        ({"dataset": {"preset": None, "tau": 0}}, "dataset.tau"),
+        ({"dataset": {"total_length": 10}}, "dataset.total_length"),
+    ], ids=["max_epochs_zero", "num_blocks", "depth_zero", "depth_negative", "lookback",
+            "horizon", "patience", "inner_lr", "num_series", "tau", "total_length"])
+    def test_constructor_check_fails_before_writing(self, tmp_path, capsys, overrides, key):
+        cfg = tiny_config(tmp_path / "run").to_dict()
+        for section, values in overrides.items():
+            cfg[section].update(values)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_mode_resolution(self):
         assert resolve_mode("inflow", "auto") == "bilevel"
         assert resolve_mode("inflow_t", "auto") == "bilevel"

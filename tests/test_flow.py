@@ -166,6 +166,42 @@ class TestCoupling:
 
         check_gradients(loss_fn, tensors, rng, num_probes=50)
 
+    def test_scale_tanh_is_folded_into_the_net(self):
+        rng = np.random.default_rng(9)
+        layer = CouplingLayer(5, hidden=16, rng=rng)
+        for p in layer.parameters().values():
+            p.data[:] = rng.normal(size=p.shape) * 0.4
+        x = Tensor(rng.uniform(-2, 2, size=(40, 48, 5)), requires_grad=True)
+        tensors = [x] + list(layer.parameters().values())
+
+        def chain(net, h, last):
+            for i, dense in enumerate(net.layers):
+                h = ad.matmul(h, dense.weight) + dense.bias
+                if i < len(net.layers) - 1 or last:
+                    h = ad.tanh(h)
+            return h
+
+        def old_forward(h):  # the op chain before the scale's tanh moved into its net
+            h1, h2 = layer._split(h)
+            scale = ad.exp(ad.tanh(chain(layer.scale_net, h1, last=False)))
+            return ad.concat([h1, h2 * scale + chain(layer.translate_net, h1, False)], axis=2)
+
+        weights = Tensor(rng.normal(size=x.shape))
+        results = []
+        for forward in (layer.forward, old_forward):
+            with Tape() as tape:
+                out = forward(x)
+                loss = ad.sum_all(out * weights)
+            tape.backward(loss)
+            results.append([out.data] + [tape.grad(t) for t in tensors])
+            ops = [node.op for node in tape.nodes]
+        assert ops.count("tanh") == 5  # the old chain; the layer itself records none
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+        with Tape() as tape:
+            layer.forward(x)
+        assert "tanh" not in [node.op for node in tape.nodes]
+
 
 class TestPermute:
     def test_reverses_channels(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from inflow import autodiff as ad
-from inflow.autodiff import Tensor
+from inflow.autodiff import Tape, Tensor
 from inflow.errors import ConfigError, DimensionError
 from inflow.forecasters import (
     ForecasterConfig,
@@ -94,6 +94,18 @@ class TestNBeatsLite:
         np.testing.assert_array_equal(backcast.numpy(), 0.0)
         residual = x - backcast
         np.testing.assert_array_equal(residual.numpy(), x.numpy())
+
+    def test_trunk_relu_is_folded_into_the_trunk(self):
+        rng = np.random.default_rng(4)
+        block = NBeatsLiteBlock(lookback=6, horizon=4, width=8, depth=2, rng=rng)
+        x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        with Tape() as tape:
+            h = block.trunk(x)
+        assert [node.op for node in tape.nodes] == ["mlp"]
+        want = x.numpy()
+        for dense in block.trunk.layers:
+            want = np.maximum(want @ dense.weight.numpy() + dense.bias.numpy(), 0.0)
+        np.testing.assert_array_equal(h.numpy(), want)
 
     def test_fresh_model_forecasts_zero(self):
         rng = np.random.default_rng(6)
