@@ -12,6 +12,7 @@ rank <= 3 so every gradient rule stays auditable by hand.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -230,79 +231,53 @@ def _normalize_axis(axis: int, rank: int, op: str) -> int:
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
+def _binary(op: str, a, b, forward, grad_a, grad_b, context: Optional[str] = None) -> Tensor:
+    """forward(a.data, b.data) with broadcasting. grad_a and grad_b map
+    (g, a.data, b.data) to each input's gradient before it is summed back to
+    the input's shape. `context`, if given, names the op in the finite check."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_shape(a.shape, b.shape, "add")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _make(a.data + b.data)
-    _check_finite(out.data, "add")
+    _broadcast_shape(a.shape, b.shape, op)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        data = forward(a.data, b.data)
+    _check_finite(data, context or op)
 
     def grad_fn(g):
         return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+            _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
+            _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
         )
 
-    return _record("add", (a, b), out, grad_fn)
+    return _record(op, (a, b), _make(data), grad_fn)
+
+
+def _unary(op: str, a: Tensor, data: np.ndarray, backward) -> Tensor:
+    """Record `data`, computed from `a` alone; backward(g) is a's gradient."""
+    return _record(op, (a,), _make(data),
+                   lambda g: (backward(g) if a.requires_grad else None,))
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, operator.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_shape(a.shape, b.shape, "sub")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _make(a.data - b.data)
-    _check_finite(out.data, "sub")
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _record("sub", (a, b), out, grad_fn)
+    return _binary("sub", a, b, operator.sub, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_shape(a.shape, b.shape, "mul")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _make(a.data * b.data)
-    _check_finite(out.data, "mul")
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
-
-    return _record("mul", (a, b), out, grad_fn)
+    return _binary("mul", a, b, operator.mul,
+                   lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_shape(a.shape, b.shape, "div")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
-    _check_finite(data, "div (zero or overflowing denominator)")
-    out = _make(data)
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
-        )
-
-    return _record("div", (a, b), out, grad_fn)
+    return _binary("div", a, b, operator.truediv,
+                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y),
+                   "div (zero or overflowing denominator)")
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    out = _make(-a.data)
-
-    def grad_fn(g):
-        return (-g if a.requires_grad else None,)
-
-    return _record("neg", (a,), out, grad_fn)
+    return _unary("neg", a, -a.data, lambda g: -g)
 
 
 def exp(a) -> Tensor:
@@ -310,32 +285,18 @@ def exp(a) -> Tensor:
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
     _check_finite(data, "exp (overflow)")
-    out = _make(data)
-
-    def grad_fn(g):
-        return (g * out.data if a.requires_grad else None,)
-
-    return _record("exp", (a,), out, grad_fn)
+    return _unary("exp", a, data, lambda g: g * data)
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
-    out = _make(np.tanh(a.data))
-
-    def grad_fn(g):
-        return (g * (1.0 - out.data * out.data) if a.requires_grad else None,)
-
-    return _record("tanh", (a,), out, grad_fn)
+    data = np.tanh(a.data)
+    return _unary("tanh", a, data, lambda g: g * (1.0 - data * data))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    out = _make(np.maximum(a.data, 0.0))
-
-    def grad_fn(g):
-        return (g * (a.data > 0.0) if a.requires_grad else None,)
-
-    return _record("relu", (a,), out, grad_fn)
+    return _unary("relu", a, np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0))
 
 
 def power(a, p: float) -> Tensor:
@@ -345,17 +306,14 @@ def power(a, p: float) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         data = np.power(a.data, p)
     _check_finite(data, f"power(exponent={p})")
-    out = _make(data)
 
     def grad_fn(g):
-        if not a.requires_grad:
-            return (None,)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             local = p * np.power(a.data, p - 1.0)
         _check_finite(local, f"power(exponent={p}) gradient")
-        return (g * local,)
+        return g * local
 
-    return _record("power", (a,), out, grad_fn)
+    return _unary("power", a, data, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +394,10 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
     add and activation run in place. Without a tape only the last hidden
     layer is kept over all rows, and the others reuse one block-sized buffer
     each. The last layer's GEMM, and in the backward each weight gradient and
-    bias sum, run once over all rows: OpenBLAS rounds a blocked product with
-    few output columns, or a row sum split into blocks, differently. For the
-    coupling and backbone widths the results are then bit-identical to the
-    chain of matmul, add and activation ops.
+    bias sum, and the input gradient, run once over all rows: OpenBLAS rounds
+    a blocked product with few output columns, or a row sum split into
+    blocks, differently. For the coupling and backbone widths the results are
+    then bit-identical to the chain of matmul, add and activation ops.
     """
     x = _as_tensor(x)
     layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
@@ -496,12 +454,13 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
 
     def grad_fn(g):
         # g_pre[i]: gradient of layer i's pre-activation, kept over all rows
-        # for a layer whose weight or bias needs a gradient, else per block
-        g_pre = [np.empty_like(h) if w.requires_grad or b.requires_grad else None
-                 for h, (w, b) in zip(hidden, layers)]
+        # for a layer whose weight or bias needs a gradient, and for layer 0
+        # when x needs one; else per block
+        keep = [w.requires_grad or b.requires_grad for w, b in layers]
+        keep[0] = keep[0] or x.requires_grad
+        g_pre = [np.empty_like(h) if k else None for h, k in zip(hidden, keep)]
         g_pre.append(_activation_grad(g.reshape(-1, w_last.shape[1]), data, activations[-1]))
-        gx = np.empty_like(x2) if x.requires_grad else None
-        if gx is not None or any(p is not None for p in g_pre[:-1]):
+        if any(p is not None for p in g_pre[:-1]):
             g_h = [np.empty((most, h.shape[1])) for h in hidden]
             pre = [p if p is not None else np.empty((most, h.shape[1]))
                    for p, h in zip(g_pre, hidden)]
@@ -512,9 +471,7 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
                     np.matmul(g_blk, layers[i + 1][0].data.T, out=g_out)
                     dst = pre[i][lo:hi] if len(pre[i]) == rows else pre[i][:hi - lo]
                     g_blk = _activation_grad(g_out, hidden[i][lo:hi], activations[i], dst)
-                if gx is not None:
-                    np.matmul(g_blk, layers[0][0].data.T, out=gx[lo:hi])
-        grads = [gx.reshape(x.shape) if gx is not None else None]
+        grads = [(g_pre[0] @ layers[0][0].data.T).reshape(x.shape) if x.requires_grad else None]
         for layer_in, gp, (w, b) in zip([x2] + hidden, g_pre, layers):
             grads.append(layer_in.T @ gp if w.requires_grad else None)
             grads.append(_unbroadcast(gp.reshape(lead + (w.shape[1],)), b.shape)
@@ -524,75 +481,54 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
     return _record("mlp", inputs, out, grad_fn)
 
 
-def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
+def _reduce_axis(op: str, a, axis: int, keepdims: bool, rule) -> Tensor:
+    """Reduce `a` along one axis. rule(x, axis) returns the result and the
+    rule that maps the output gradient, with the axis kept, to x's."""
     a = _as_tensor(a)
-    axis = _normalize_axis(axis, a.ndim, "sum_axis")
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims))
+    axis = _normalize_axis(axis, a.ndim, op)
+    data, backward = rule(a.data, axis)
+    return _unary(op, a, data, lambda g: backward(g if keepdims else np.expand_dims(g, axis)))
 
-    def grad_fn(g):
-        if not a.requires_grad:
-            return (None,)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _record("sum_axis", (a,), out, grad_fn)
+def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
+    def rule(x, axis):
+        return x.sum(axis=axis, keepdims=keepdims), lambda g: np.broadcast_to(g, x.shape).copy()
+
+    return _reduce_axis("sum_axis", a, axis, keepdims, rule)
 
 
 def mean_axis(a, axis: int, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    axis = _normalize_axis(axis, a.ndim, "mean_axis")
-    n = a.shape[axis]
-    out = _make(a.data.mean(axis=axis, keepdims=keepdims))
+    def rule(x, axis):
+        n = x.shape[axis]
+        return (x.mean(axis=axis, keepdims=keepdims),
+                lambda g: np.broadcast_to(g / n, x.shape).copy())
 
-    def grad_fn(g):
-        if not a.requires_grad:
-            return (None,)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, a.shape).copy(),)
-
-    return _record("mean_axis", (a,), out, grad_fn)
+    return _reduce_axis("mean_axis", a, axis, keepdims, rule)
 
 
 def var_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     """Biased (divide-by-N) variance along one axis."""
-    a = _as_tensor(a)
-    axis = _normalize_axis(axis, a.ndim, "var_axis")
-    n = a.shape[axis]
-    mu = a.data.mean(axis=axis, keepdims=True)
-    out = _make(((a.data - mu) ** 2).mean(axis=axis, keepdims=keepdims))
-
-    def grad_fn(g):
-        if not a.requires_grad:
-            return (None,)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
+    def rule(x, axis):
+        n = x.shape[axis]
+        mu = x.mean(axis=axis, keepdims=True)
         # d var / d x_i = 2 (x_i - mu) / N; the mu terms cancel exactly
-        return (g * (2.0 / n) * (a.data - mu),)
+        return (((x - mu) ** 2).mean(axis=axis, keepdims=keepdims),
+                lambda g: g * (2.0 / n) * (x - mu))
 
-    return _record("var_axis", (a,), out, grad_fn)
+    return _reduce_axis("var_axis", a, axis, keepdims, rule)
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-    out = _make(np.asarray(a.data.sum()))
-
-    def grad_fn(g):
-        return (np.broadcast_to(g, a.shape).copy() if a.requires_grad else None,)
-
-    return _record("sum_all", (a,), out, grad_fn)
+    return _unary("sum_all", a, np.asarray(a.data.sum()),
+                  lambda g: np.broadcast_to(g, a.shape).copy())
 
 
 def mean_all(a) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size
-    out = _make(np.asarray(a.data.mean()))
-
-    def grad_fn(g):
-        return (np.broadcast_to(g / n, a.shape).copy() if a.requires_grad else None,)
-
-    return _record("mean_all", (a,), out, grad_fn)
+    return _unary("mean_all", a, np.asarray(a.data.mean()),
+                  lambda g: np.broadcast_to(g / n, a.shape).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +590,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         data = a.data.reshape(shape)
     except ValueError as e:
         raise DimensionError(f"reshape: {a.shape} -> {shape}: {e}") from None
-    out = _make(np.ascontiguousarray(data))
-
-    def grad_fn(g):
-        return (g.reshape(a.shape) if a.requires_grad else None,)
-
-    return _record("reshape", (a,), out, grad_fn)
+    return _unary("reshape", a, np.ascontiguousarray(data), lambda g: g.reshape(a.shape))
 
 
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
@@ -667,24 +598,16 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if _broadcast_shape(a.shape, shape, "broadcast_to") != shape:
         raise DimensionError(f"broadcast_to: {a.shape} does not expand to {shape}")
-    out = _make(np.broadcast_to(a.data, shape).copy())
-
-    def grad_fn(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,)
-
-    return _record("broadcast_to", (a,), out, grad_fn)
+    return _unary("broadcast_to", a, np.broadcast_to(a.data, shape).copy(),
+                  lambda g: _unbroadcast(g, a.shape))
 
 
 def flip_axis(a, axis: int) -> Tensor:
     """Reverse element order along one axis; self-inverse."""
     a = _as_tensor(a)
     axis = _normalize_axis(axis, a.ndim, "flip_axis")
-    out = _make(np.ascontiguousarray(np.flip(a.data, axis=axis)))
-
-    def grad_fn(g):
-        return (np.ascontiguousarray(np.flip(g, axis=axis)) if a.requires_grad else None,)
-
-    return _record("flip_axis", (a,), out, grad_fn)
+    return _unary("flip_axis", a, np.ascontiguousarray(np.flip(a.data, axis=axis)),
+                  lambda g: np.ascontiguousarray(np.flip(g, axis=axis)))
 
 
 def swap_last_axes(a) -> Tensor:
@@ -692,12 +615,8 @@ def swap_last_axes(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim not in (2, 3):
         raise DimensionError(f"swap_last_axes: rank {a.ndim} unsupported")
-    out = _make(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)))
-
-    def grad_fn(g):
-        return (np.ascontiguousarray(np.swapaxes(g, -1, -2)) if a.requires_grad else None,)
-
-    return _record("swap_last_axes", (a,), out, grad_fn)
+    return _unary("swap_last_axes", a, np.ascontiguousarray(np.swapaxes(a.data, -1, -2)),
+                  lambda g: np.ascontiguousarray(np.swapaxes(g, -1, -2)))
 
 
 # ---------------------------------------------------------------------------

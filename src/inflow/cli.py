@@ -425,14 +425,19 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
 def cmd_eval(cfg: RunConfig, checkpoint: str | Path, out_dir: str | Path | None = None,
              trace_windows: list[int] | None = None) -> Path:
     cfg.validate()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ds, windows, stats = prepare_windows(cfg)
     seed = cfg.seeds[0]
     pipeline = build_pipeline(cfg.model, ds.num_variates, seed)
     pipeline.load_state(load_checkpoint(checkpoint))
     pipeline.eval_mode()
     groups = split_windows(windows)
+    trace_windows = trace_windows or []
+    for idx in trace_windows:
+        if not 0 <= idx < len(groups["test"]):
+            raise ConfigError(f"trace window {idx} out of range "
+                              f"(test split has {len(groups['test'])} windows)")
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     test_report = evaluate(pipeline, groups["test"], stats, batch_size=cfg.train.batch_size)
     val_report = evaluate(pipeline, groups["val"], stats, batch_size=cfg.train.batch_size)
     payload = test_report.to_dict()
@@ -442,10 +447,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: str | Path, out_dir: str | Path | None 
     metrics_path = out / "metrics.json"
     metrics_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8")
-    for idx in trace_windows or []:
-        if not 0 <= idx < len(groups["test"]):
-            raise ConfigError(f"trace window {idx} out of range "
-                              f"(test split has {len(groups['test'])} windows)")
+    for idx in trace_windows:
         trace = dump_forecast_trace(pipeline, groups["test"][idx], stats)
         trace.write_csv(out / f"trace_{idx}.csv")
     print(f"test_mse={test_report.mse:.6g} test_mae={test_report.mae:.6g} "

@@ -25,9 +25,12 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def _check_window(h: Tensor, op: str) -> None:
+def _check_window(h: Tensor, op: str, num_variates: int | None = None) -> None:
+    """Check h is a [batch, length, variates] window, of num_variates if given."""
     if h.ndim != 3:
         raise ContractError(f"{op} expects [batch, length, variates], got {h.shape}")
+    if num_variates is not None and h.shape[2] != num_variates:
+        raise ContractError(f"layer built for {num_variates} variates, input has {h.shape[2]}")
 
 
 class InstanceNormLayer:
@@ -50,11 +53,7 @@ class InstanceNormLayer:
         self._cache: tuple[Tensor, Tensor, int] | None = None
 
     def forward(self, h: Tensor) -> Tensor:
-        _check_window(h, "instance norm forward")
-        if h.shape[2] != self.num_variates:
-            raise ContractError(
-                f"layer built for {self.num_variates} variates, input has {h.shape[2]}"
-            )
+        _check_window(h, "instance norm forward", self.num_variates)
         mu = ad.mean_axis(h, axis=1, keepdims=True)
         var = ad.var_axis(h, axis=1, keepdims=True)
         self._cache = (mu, var, h.shape[0])
@@ -62,7 +61,7 @@ class InstanceNormLayer:
         return (h - mu) * inv_std * ad.exp(self.log_scale) + self.shift
 
     def inverse(self, h: Tensor) -> Tensor:
-        _check_window(h, "instance norm inverse")
+        _check_window(h, "instance norm inverse", self.num_variates)
         if self._cache is None:
             raise ContractError("instance norm inverse called before any forward")
         mu, var, batch = self._cache
@@ -109,7 +108,7 @@ class BatchNormLayer:
         return mu, var
 
     def forward(self, h: Tensor) -> Tensor:
-        _check_window(h, "batch norm forward")
+        _check_window(h, "batch norm forward", self.num_variates)
         if self.training:
             mu, var = self._batch_stats(h)
             self._cache = (mu, var)
@@ -122,7 +121,7 @@ class BatchNormLayer:
         return (h - mu) * inv_std * ad.exp(self.log_scale) + self.shift
 
     def inverse(self, h: Tensor) -> Tensor:
-        _check_window(h, "batch norm inverse")
+        _check_window(h, "batch norm inverse", self.num_variates)
         if self.training:
             if self._cache is None:
                 raise ContractError("batch norm inverse called before any forward")
@@ -180,7 +179,7 @@ class CouplingLayer:
         return ad.exp(self.scale_net(conditioner))
 
     def forward(self, h: Tensor) -> Tensor:
-        _check_window(h, "coupling forward")
+        _check_window(h, "coupling forward", self.num_variates)
         if self.scale_net is None:
             return h
         h1, h2 = self._split(h)
@@ -188,7 +187,7 @@ class CouplingLayer:
         return ad.concat([h1, out2], axis=2)
 
     def inverse(self, h: Tensor) -> Tensor:
-        _check_window(h, "coupling inverse")
+        _check_window(h, "coupling inverse", self.num_variates)
         if self.scale_net is None:
             return h
         h1, h2 = self._split(h)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -161,57 +163,75 @@ def test_broadcast_middle_axis():
     np.testing.assert_allclose(out.numpy(), 0.5)
 
 
-def test_ops_without_tape_record_nothing():
-    p = Tensor([1.0], requires_grad=True)
-    out = p * 2.0  # no active tape
-    assert out.requires_grad
-    tape = Tape()
-    assert tape.nodes == []
-
-
+# (test id, the autodiff op, a call of that op alone, arity)
 PRIMITIVE_CASES = [
-    ("add", lambda a, b: a + b, 2),
-    ("sub", lambda a, b: a - b, 2),
-    ("mul", lambda a, b: a * b, 2),
-    ("div", lambda a, b: a / (b + 3.0), 2),
-    ("neg", lambda a: -a, 1),
-    ("exp", ad.exp, 1),
-    ("tanh", ad.tanh, 1),
-    ("relu", ad.relu, 1),
-    ("power2", lambda a: ad.power(a * a + 0.5, 1.7), 1),
-    ("matmul", None, 2),
-    ("mean_axis", lambda a: ad.mean_axis(a, axis=1, keepdims=True), 1),
-    ("var_axis", lambda a: ad.var_axis(a, axis=1, keepdims=True), 1),
-    ("sum_axis", lambda a: ad.sum_axis(a, axis=0), 1),
-    ("slice", lambda a: ad.slice_axis(a, axis=1, start=1, stop=3), 1),
-    ("concat", lambda a, b: ad.concat([a, b], axis=1), 2),
-    ("reshape", lambda a: ad.reshape(a, (a.data.size,)), 1),
-    ("broadcast", lambda a: ad.broadcast_to(ad.mean_axis(a, 0, keepdims=True), a.shape), 1),
-    ("flip", lambda a: ad.flip_axis(a, 1), 1),
-    ("swap", ad.swap_last_axes, 1),
+    ("add", "add", lambda a, b: a + b, 2),
+    ("sub", "sub", lambda a, b: a - b, 2),
+    ("mul", "mul", lambda a, b: a * b, 2),
+    ("div", "div", lambda a, b: a / b, 2),
+    ("neg", "neg", lambda a: -a, 1),
+    ("exp", "exp", ad.exp, 1),
+    ("tanh", "tanh", ad.tanh, 1),
+    ("relu", "relu", ad.relu, 1),
+    ("power2", "power", lambda a: ad.power(a, 1.7), 1),
+    ("matmul", "matmul", ad.matmul, 2),
+    ("mean_axis", "mean_axis", lambda a: ad.mean_axis(a, axis=1, keepdims=True), 1),
+    ("var_axis", "var_axis", lambda a: ad.var_axis(a, axis=1, keepdims=True), 1),
+    ("sum_axis", "sum_axis", lambda a: ad.sum_axis(a, axis=1), 1),
+    ("sum_all", "sum_all", ad.sum_all, 1),
+    ("mean_all", "mean_all", ad.mean_all, 1),
+    ("slice", "slice_axis", lambda a: ad.slice_axis(a, axis=1, start=1, stop=3), 1),
+    ("concat", "concat", lambda a, b: ad.concat([a, b], axis=1), 2),
+    ("reshape", "reshape", lambda a: ad.reshape(a, (a.data.size,)), 1),
+    ("broadcast", "broadcast_to", lambda a: ad.broadcast_to(a, (2, 3, 4)), 1),
+    ("flip", "flip_axis", lambda a: ad.flip_axis(a, 1), 1),
+    ("swap", "swap_last_axes", ad.swap_last_axes, 1),
 ]
 
+# inputs are drawn from (-2, 2) except here, away from a pole or a negative base
+PRIMITIVE_DOMAINS = {"div": (0.5, 2.5), "power2": (0.5, 2.5)}
+# inputs are (3, 4) except here; mul, div and broadcast sum a gradient back
+# over a missing leading axis and over a size-1 axis
+PRIMITIVE_SHAPES = {"matmul": [(3, 4), (4, 2)], "mul": [(3, 4), (4,)],
+                    "div": [(3, 1), (3, 4)], "broadcast": [(3, 1)]}
 
-@pytest.mark.parametrize("name,fn,arity", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
-def test_primitive_gradients_match_finite_differences(name, fn, arity):
-    rng = np.random.default_rng(hash(name) % 2**32)
-    if name == "matmul":
-        a = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.uniform(-2, 2, size=(4, 2)), requires_grad=True)
-        tensors = [a, b]
 
-        def loss_fn():
-            return ad.sum_all(ad.tanh(ad.matmul(a, b)))
-    else:
-        a = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
-        tensors = [a, b][:arity]
+def _primitive_inputs(name, arity, rng, requires_grad=True):
+    low, high = PRIMITIVE_DOMAINS.get(name, (-2.0, 2.0))
+    shapes = PRIMITIVE_SHAPES.get(name, [(3, 4), (3, 4)])
+    return [Tensor(rng.uniform(low, high, size=shape), requires_grad=requires_grad)
+            for shape in shapes[:arity]]
 
-        def loss_fn():
-            out = fn(*tensors)
-            return ad.mean_all(out * out)
+
+@pytest.mark.parametrize("name,op,fn,arity", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def test_primitive_gradients_match_finite_differences(name, op, fn, arity):
+    # crc32, unlike hash(), gives the same seed in every process
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    tensors = _primitive_inputs(name, arity, rng)
+
+    def loss_fn():
+        out = fn(*tensors)
+        return ad.mean_all(out * out)
 
     check_gradients(loss_fn, tensors, rng, num_probes=30)
+
+
+@pytest.mark.parametrize("name,op,fn,arity", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def test_op_records_one_node_named_after_it(name, op, fn, arity):
+    assert getattr(ad, op).__name__ == op
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    with Tape() as tape:
+        out = fn(*_primitive_inputs(name, arity, rng))
+        assert [node.op for node in tape.nodes] == [op]
+        assert tape.nodes[0].output is out and out.requires_grad
+        frozen = fn(*_primitive_inputs(name, arity, rng, requires_grad=False))
+    assert len(tape.nodes) == 1
+    assert not frozen.requires_grad
+    # the rule reads requires_grad when backward runs, as the idle-group freeze needs
+    (node,) = tape.nodes
+    for t in node.inputs:
+        t.requires_grad = False
+    assert all(g is None for g in node.backward(np.ones_like(out.data)))
 
 
 def test_determinism_same_seed_same_everything():
@@ -404,6 +424,18 @@ def test_mlp_equals_unfused_chain(case, activation, activate_last):
     for got, want in zip(fused, chain):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(ad.mlp(x, layers, acts).data, fused[0])  # no tape
+
+
+@pytest.mark.parametrize("rows", [1000, 1024, 1283, 2049, 4099, 8917])
+def test_mlp_wide_input_gradient_equals_unfused_chain(rows):
+    # 128-row blocks at hidden width 256; a blocked (rows x 256) @ (256 x 3)
+    # product rounds differently from one over all rows
+    rng = np.random.default_rng(59)
+    x, layers = _mlp_inputs(rng, (rows,), [3, 256, 256, 2])
+    acts = ["tanh", "tanh", None]
+    weights = Tensor(rng.normal(size=(rows, 2)))
+    fused, chain = (_run_taped(op, x, layers, acts, weights) for op in (ad.mlp, _unfused))
+    np.testing.assert_array_equal(fused[1], chain[1])
 
 
 def test_mlp_records_one_node():

@@ -296,6 +296,20 @@ class TestTrainEval:
         assert (eval_out / "trace_0.csv").exists()
         assert (eval_out / "trace_3.csv").exists()
 
+    def test_bad_trace_index_or_checkpoint_exits_2_before_writing(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path / "run")
+        save_config(cfg, tmp_path / "cfg.json")
+        cmd_train(cfg)
+        checkpoint = str(tmp_path / "run" / "checkpoint_seed0.bin")
+        for flags, message in ((["--checkpoint", checkpoint, "--trace", "99999"], "trace window"),
+                               (["--checkpoint", checkpoint, "--trace", "-1"], "trace window"),
+                               (["--checkpoint", str(tmp_path / "absent.bin")], "absent.bin")):
+            rc = main(["eval", "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(tmp_path / "eval")] + flags)
+            assert rc == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "eval").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = tiny_config(tmp_path / "a")
         cfg_b = tiny_config(tmp_path / "b")

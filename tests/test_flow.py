@@ -257,6 +257,19 @@ class TestBatchNorm:
             layer.inverse(Tensor(np.zeros((1, 3, 2))))
 
 
+@pytest.mark.parametrize("make", [InstanceNormLayer, BatchNormLayer,
+                                  lambda n: CouplingLayer(n, hidden=4)],
+                         ids=["instance_norm", "batch_norm", "coupling"])
+def test_wrong_variate_count_is_contract_error(make):
+    rng = np.random.default_rng(9)
+    layer = make(3)
+    layer.forward(rand_window(rng, variates=3))  # fills a norm layer's cache
+    wide = rand_window(rng, variates=5)
+    for direction in (layer.forward, layer.inverse):
+        with pytest.raises(ContractError, match="layer built for 3 variates, input has 5"):
+            direction(wide)
+
+
 def randomize_stack(stack: FlowStack, rng, scale=0.5):
     for p in stack.parameters().values():
         p.data[:] = rng.normal(size=p.shape) * scale
