@@ -490,13 +490,6 @@ def _reduce_axis(op: str, a, axis: int, keepdims: bool, rule) -> Tensor:
     return _unary(op, a, data, lambda g: backward(g if keepdims else np.expand_dims(g, axis)))
 
 
-def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
-    def rule(x, axis):
-        return x.sum(axis=axis, keepdims=keepdims), lambda g: np.broadcast_to(g, x.shape).copy()
-
-    return _reduce_axis("sum_axis", a, axis, keepdims, rule)
-
-
 def mean_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     def rule(x, axis):
         n = x.shape[axis]

@@ -12,8 +12,8 @@ class RevInTransform(FlowStack):
     onto the horizon prediction.
     """
 
-    def __init__(self, num_variates: int, eps: float = 1e-5, affine: bool = True):
-        self._norm = InstanceNormLayer(num_variates, eps=eps, affine=affine)
+    def __init__(self, num_variates: int):
+        self._norm = InstanceNormLayer(num_variates)
         self.layers = [self._norm]
 
     # bound on the class itself, so a profiler that wraps this class's own

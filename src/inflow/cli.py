@@ -45,18 +45,32 @@ from .forecasters import ForecasterConfig, build_forecaster
 from .pipeline import ForecastPipeline
 from .training import TrainConfig, train
 
-VARIANTS = ("inflow", "inflow_t", "inflow_j", "realnvp", "realnvp_c", "revin", "none")
 
-_FLOW_VARIANTS = {
-    "inflow": "pre_norm",
-    "inflow_j": "pre_norm",
-    "inflow_t": "post_norm",
-    "realnvp": "batch_norm",
-    "realnvp_c": "coupling_only",
+def _flow(kind: str):
+    """A builder of FlowStacks of `kind` blocks (a flow.VARIANTS entry) sized by the model."""
+    return lambda model, num_variates, seed: FlowStack(
+        num_variates, num_blocks=model.num_blocks, variant=kind, hidden=model.flow_hidden,
+        rng=np.random.default_rng([seed, 10]))
+
+
+# roster variant -> (transform builder, the mode "auto" resolves to, whether that
+# mode is the only one the variant accepts)
+_VARIANTS = {
+    "inflow": (_flow("pre_norm"), "bilevel", False),
+    "inflow_t": (_flow("post_norm"), "bilevel", False),
+    "inflow_j": (_flow("pre_norm"), "joint", True),
+    "realnvp": (_flow("batch_norm"), "bilevel", False),
+    "realnvp_c": (_flow("coupling_only"), "bilevel", False),
+    "revin": (lambda model, num_variates, seed: RevInTransform(num_variates), "joint", False),
+    "none": (lambda model, num_variates, seed: IdentityTransform(), "backbone_only", True),
 }
+VARIANTS = tuple(_VARIANTS)
 
-_FORCED_MODES = {"inflow_j": "joint", "none": "backbone_only"}
-_DEFAULT_MODES = {"revin": "joint"}
+
+def _variant(name: str) -> tuple:
+    if name not in _VARIANTS:
+        raise ConfigError(f"unknown variant {name!r}; choose from {VARIANTS}")
+    return _VARIANTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +154,10 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def validate(self) -> None:
-        if self.model.variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown variant {self.model.variant!r}; choose from {VARIANTS}"
-            )
+        _variant(self.model.variant)
         check_split_ratio(self.dataset.split_ratio, "dataset.split_ratio")
+        if self.dataset.columns == []:
+            raise ConfigError("dataset.columns must name at least one column")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
@@ -196,16 +209,10 @@ def _checked(owner: type, key: str, value, label: str):
 
 def resolve_mode(variant: str, requested: str) -> str:
     """Map a variant plus a requested mode to a concrete training mode."""
-    if variant in _FORCED_MODES:
-        forced = _FORCED_MODES[variant]
-        if requested not in ("auto", forced):
-            raise ConfigError(
-                f"variant {variant!r} requires mode {forced!r}, got {requested!r}"
-            )
-        return forced
-    if requested == "auto":
-        return _DEFAULT_MODES.get(variant, "bilevel")
-    return requested
+    _, mode, forced = _variant(variant)
+    if forced and requested not in ("auto", mode):
+        raise ConfigError(f"variant {variant!r} requires mode {mode!r}, got {requested!r}")
+    return mode if requested == "auto" else requested
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -286,19 +293,9 @@ def file_sha256(path: str | Path) -> str:
 # pipeline assembly
 
 
-def build_transform(model: ModelSection, num_variates: int, seed: int):
-    variant = model.variant
-    if variant == "none":
-        return IdentityTransform()
-    if variant == "revin":
-        return RevInTransform(num_variates)
-    return FlowStack(
-        num_variates,
-        num_blocks=model.num_blocks,
-        variant=_FLOW_VARIANTS[variant],
-        hidden=model.flow_hidden,
-        rng=np.random.default_rng([seed, 10]),
-    )
+def build_transform(model: ModelSection, num_variates: int, seed: int) -> FlowStack:
+    build, _, _ = _variant(model.variant)
+    return build(model, num_variates, seed)
 
 
 def _forecaster_config(model: ModelSection, num_variates: int) -> ForecasterConfig:
@@ -399,10 +396,10 @@ def _train_one_seed(cfg: RunConfig, windows, stats, seed: int, num_variates: int
 
 def cmd_train(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     cfg.validate()
+    ds, windows, stats = prepare_windows(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.json")
-    ds, windows, stats = prepare_windows(cfg)
     results = []
     for seed in cfg.seeds:
         results.append(_train_one_seed(cfg, windows, stats, seed, ds.num_variates, out))

@@ -187,38 +187,42 @@ def load_csv(path: str | Path, columns: list[str] | None = None,
     """
     check_split_ratio(split_ratio)
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if columns is None:
-            columns = header
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ConfigError(f"{path}: columns not found: {missing}")
-        idx = [header.index(c) for c in columns]
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            parsed = []
-            for c, j in zip(columns, idx):
-                cell = row[j].strip() if j < len(row) else ""
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}: non-numeric value {cell!r} at row {row_no}, column {c!r}"
-                    ) from None
-                if math.isnan(value) or math.isinf(value):
-                    raise ConfigError(
-                        f"{path}: missing or non-finite value at row {row_no}, column {c!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read CSV: {e}") from e
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    if columns is None:
+        columns = header
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: columns not found: {missing}")
+    idx = [header.index(c) for c in columns]
+    rows = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        parsed = []
+        for c, j in zip(columns, idx):
+            cell = row[j].strip() if j < len(row) else ""
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: non-numeric value {cell!r} at row {row_no}, column {c!r}"
+                ) from None
+            if math.isnan(value) or math.isinf(value):
+                raise ConfigError(
+                    f"{path}: missing or non-finite value at row {row_no}, column {c!r}"
+                )
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)

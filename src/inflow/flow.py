@@ -16,12 +16,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .nn import MLP
+from .nn import MLP, prefixed
 
 VARIANTS = ("pre_norm", "post_norm", "coupling_only", "batch_norm")
 
-# BatchNormLayer's variance floor and the weight of each batch in its running averages
-BN_EPS = 1e-5
+# the weight of each batch in BatchNormLayer's running averages
 BN_MOMENTUM = 0.1
 
 
@@ -42,30 +41,35 @@ class InstanceNormLayer:
     so it can restore a window of any length.
     """
 
-    def __init__(self, num_variates: int, eps: float = 1e-5, affine: bool = True):
+    name = "instance norm"
+
+    def __init__(self, num_variates: int, eps: float = 1e-5):
         if eps <= 0:
             raise ConfigError(f"eps must be positive, got {eps}")
         self.num_variates = num_variates
         self.eps = eps
-        self.affine = affine
-        self.log_scale = Tensor(np.zeros(num_variates), requires_grad=affine)
-        self.shift = Tensor(np.zeros(num_variates), requires_grad=affine)
-        self._cache: tuple[Tensor, Tensor, int] | None = None
+        self.log_scale = Tensor(np.zeros(num_variates), requires_grad=True)
+        self.shift = Tensor(np.zeros(num_variates), requires_grad=True)
+        self._cache: tuple[Tensor, Tensor, int | None] | None = None
 
-    def forward(self, h: Tensor) -> Tensor:
-        _check_window(h, "instance norm forward", self.num_variates)
+    def _statistics(self, h: Tensor) -> tuple[Tensor, Tensor, int | None]:
+        """The mean and variance that normalize h, and the batch they belong to (None: any)."""
         mu = ad.mean_axis(h, axis=1, keepdims=True)
         var = ad.var_axis(h, axis=1, keepdims=True)
-        self._cache = (mu, var, h.shape[0])
+        return mu, var, h.shape[0]
+
+    def forward(self, h: Tensor) -> Tensor:
+        _check_window(h, f"{self.name} forward", self.num_variates)
+        mu, var, _ = self._cache = self._statistics(h)
         inv_std = ad.power(var + self.eps, -0.5)
         return (h - mu) * inv_std * ad.exp(self.log_scale) + self.shift
 
     def inverse(self, h: Tensor) -> Tensor:
-        _check_window(h, "instance norm inverse", self.num_variates)
+        _check_window(h, f"{self.name} inverse", self.num_variates)
         if self._cache is None:
-            raise ContractError("instance norm inverse called before any forward")
+            raise ContractError(f"{self.name} inverse called before any forward")
         mu, var, batch = self._cache
-        if h.shape[0] != batch:
+        if batch is not None and h.shape[0] != batch:
             raise ContractError(
                 f"inverse batch {h.shape[0]} does not match cached forward batch {batch}"
             )
@@ -73,15 +77,13 @@ class InstanceNormLayer:
         return (h - self.shift) * ad.exp(-self.log_scale) * std + mu
 
     def parameters(self) -> dict[str, Tensor]:
-        if not self.affine:
-            return {}
         return {"log_scale": self.log_scale, "shift": self.shift}
 
     def buffers(self) -> dict[str, Tensor]:
-        return {} if self.affine else {"log_scale": self.log_scale, "shift": self.shift}
+        return {}
 
 
-class BatchNormLayer:
+class BatchNormLayer(InstanceNormLayer):
     """Normalize by statistics pooled over batch and time, per variate.
 
     In training mode the forward normalizes by the batch's own statistics,
@@ -92,47 +94,24 @@ class BatchNormLayer:
     running averages come only from batches phi is trained on.
     """
 
+    name = "batch norm"
+
     def __init__(self, num_variates: int):
-        self.num_variates = num_variates
-        self.log_scale = Tensor(np.zeros(num_variates), requires_grad=True)
-        self.shift = Tensor(np.zeros(num_variates), requires_grad=True)
+        super().__init__(num_variates)
         self.running_mean = Tensor(np.zeros(num_variates))
         self.running_var = Tensor(np.ones(num_variates))
         self.training = True
-        self._cache: tuple[Tensor, Tensor] | None = None
 
-    def _batch_stats(self, h: Tensor) -> tuple[Tensor, Tensor]:
+    def _statistics(self, h: Tensor) -> tuple[Tensor, Tensor, None]:
+        if not self.training:
+            return self.running_mean, self.running_var, None
         flat = ad.reshape(h, (h.shape[0] * h.shape[1], h.shape[2]))
         mu = ad.mean_axis(flat, axis=0)
         var = ad.var_axis(flat, axis=0)
-        return mu, var
-
-    def forward(self, h: Tensor) -> Tensor:
-        _check_window(h, "batch norm forward", self.num_variates)
-        if self.training:
-            mu, var = self._batch_stats(h)
-            self._cache = (mu, var)
-            m = BN_MOMENTUM
-            self.running_mean.data = (1 - m) * self.running_mean.data + m * mu.data
-            self.running_var.data = (1 - m) * self.running_var.data + m * var.data
-        else:
-            mu, var = self.running_mean, self.running_var
-        inv_std = ad.power(var + BN_EPS, -0.5)
-        return (h - mu) * inv_std * ad.exp(self.log_scale) + self.shift
-
-    def inverse(self, h: Tensor) -> Tensor:
-        _check_window(h, "batch norm inverse", self.num_variates)
-        if self.training:
-            if self._cache is None:
-                raise ContractError("batch norm inverse called before any forward")
-            mu, var = self._cache
-        else:
-            mu, var = self.running_mean, self.running_var
-        std = ad.power(var + BN_EPS, 0.5)
-        return (h - self.shift) * ad.exp(-self.log_scale) * std + mu
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"log_scale": self.log_scale, "shift": self.shift}
+        m = BN_MOMENTUM
+        self.running_mean.data = (1 - m) * self.running_mean.data + m * mu.data
+        self.running_var.data = (1 - m) * self.running_var.data + m * var.data
+        return mu, var, None
 
     def buffers(self) -> dict[str, Tensor]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
@@ -197,11 +176,7 @@ class CouplingLayer:
     def parameters(self) -> dict[str, Tensor]:
         if self.scale_net is None:
             return {}
-        out = {}
-        for prefix, net in (("scale", self.scale_net), ("translate", self.translate_net)):
-            for k, p in net.parameters().items():
-                out[f"{prefix}.{k}"] = p
-        return out
+        return prefixed({"scale": self.scale_net, "translate": self.translate_net})
 
     def buffers(self) -> dict[str, Tensor]:
         return {}
@@ -289,18 +264,11 @@ class FlowStack:
         return y
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, p in layer.parameters().items():
-                out[f"layers.{i}.{k}"] = p
-        return out
+        return prefixed({f"layers.{i}": layer for i, layer in enumerate(self.layers)})
 
     def buffers(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, p in layer.buffers().items():
-                out[f"layers.{i}.{k}"] = p
-        return out
+        return prefixed({f"layers.{i}": layer for i, layer in enumerate(self.layers)},
+                        "buffers")
 
     def train_mode(self, flag: bool = True) -> None:
         for layer in self.layers:

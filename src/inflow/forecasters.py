@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
-from .nn import MLP, Dense
+from .nn import MLP, Dense, prefixed
 
 
 @dataclass
@@ -71,7 +71,7 @@ class LinearForecaster:
         return _unfold_variates(self.head(_fold_variates(x)), b, d)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {f"head.{k}": p for k, p in self.head.parameters().items()}
+        return prefixed({"head": self.head})
 
 
 class MLPForecaster:
@@ -88,7 +88,7 @@ class MLPForecaster:
         return _unfold_variates(self.net(_fold_variates(x)), b, d)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {f"net.{k}": p for k, p in self.net.parameters().items()}
+        return prefixed({"net": self.net})
 
 
 class NBeatsLiteBlock:
@@ -106,10 +106,8 @@ class NBeatsLiteBlock:
         return self.backcast_head(h), self.forecast_head(h)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {f"trunk.{k}": p for k, p in self.trunk.parameters().items()}
-        out.update({f"backcast.{k}": p for k, p in self.backcast_head.parameters().items()})
-        out.update({f"forecast.{k}": p for k, p in self.forecast_head.parameters().items()})
-        return out
+        return prefixed({"trunk": self.trunk, "backcast": self.backcast_head,
+                         "forecast": self.forecast_head})
 
 
 class NBeatsLite:
@@ -135,11 +133,7 @@ class NBeatsLite:
         return _unfold_variates(forecast, b, d)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, block in enumerate(self.blocks):
-            for k, p in block.parameters().items():
-                out[f"blocks.{i}.{k}"] = p
-        return out
+        return prefixed({f"blocks.{i}": block for i, block in enumerate(self.blocks)})
 
 
 _KINDS = {"linear": LinearForecaster, "mlp": MLPForecaster, "nbeats_lite": NBeatsLite}

@@ -10,6 +10,16 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
+def prefixed(children: dict, method: str = "parameters") -> dict[str, Tensor]:
+    """Name each child's tensors `<prefix>.<name>`, in the children's order.
+
+    `children` maps a prefix to an object whose `method` returns its own named
+    tensors; this is how every checkpoint tensor name is built.
+    """
+    return {f"{prefix}.{k}": t for prefix, child in children.items()
+            for k, t in getattr(child, method)().items()}
+
+
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -63,8 +73,4 @@ class MLP:
                       self.activations)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, p in layer.parameters().items():
-                out[f"layer{i}.{k}"] = p
-        return out
+        return prefixed({f"layer{i}": layer for i, layer in enumerate(self.layers)})

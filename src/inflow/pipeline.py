@@ -6,6 +6,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
+from .nn import prefixed
 
 
 class ForecastPipeline:
@@ -30,10 +31,10 @@ class ForecastPipeline:
         return x_t, y_t, y_hat
 
     def theta_parameters(self) -> dict[str, Tensor]:
-        return {f"theta.{k}": p for k, p in self.forecaster.parameters().items()}
+        return prefixed({"theta": self.forecaster})
 
     def phi_parameters(self) -> dict[str, Tensor]:
-        return {f"phi.{k}": p for k, p in self.transform.parameters().items()}
+        return prefixed({"phi": self.transform})
 
     def parameters(self) -> dict[str, Tensor]:
         out = self.theta_parameters()
@@ -43,7 +44,7 @@ class ForecastPipeline:
     def state_tensors(self) -> dict[str, Tensor]:
         """All tensors a checkpoint must carry: parameters plus buffers."""
         out = self.parameters()
-        out.update({f"phi_buffer.{k}": p for k, p in self.transform.buffers().items()})
+        out.update(prefixed({"phi_buffer": self.transform}, "buffers"))
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:

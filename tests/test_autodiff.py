@@ -176,8 +176,9 @@ PRIMITIVE_CASES = [
     ("power2", "power", lambda a: ad.power(a, 1.7), 1),
     ("matmul", "matmul", ad.matmul, 2),
     ("mean_axis", "mean_axis", lambda a: ad.mean_axis(a, axis=1, keepdims=True), 1),
+    # reduces axis 1 and drops it, so the gradient needs its axis put back
+    ("mean_axis_drop", "mean_axis", lambda a: ad.mean_axis(a, axis=1), 1),
     ("var_axis", "var_axis", lambda a: ad.var_axis(a, axis=1, keepdims=True), 1),
-    ("sum_axis", "sum_axis", lambda a: ad.sum_axis(a, axis=1), 1),
     ("sum_all", "sum_all", ad.sum_all, 1),
     ("mean_all", "mean_all", ad.mean_all, 1),
     ("slice", "slice_axis", lambda a: ad.slice_axis(a, axis=1, start=1, stop=3), 1),

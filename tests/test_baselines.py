@@ -10,10 +10,12 @@ from inflow import autodiff as ad
 
 class TestRevIn:
     def test_hand_computed_normalization(self):
-        t = RevInTransform(1, eps=1e-12, affine=False)
+        t = RevInTransform(1)  # log_scale and shift start at 0
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1))
         out = t.normalize(x).numpy().ravel()
-        np.testing.assert_allclose(out, [-1.3416, -0.4472, 0.4472, 1.3416], atol=1e-4)
+        # mean 2.5, biased variance 1.25, default eps 1e-5
+        expected = np.array([-1.5, -0.5, 0.5, 1.5]) / np.sqrt(1.25 + 1e-5)
+        np.testing.assert_allclose(out, expected, atol=1e-4)
 
     def test_constant_window_to_zeros(self):
         t = RevInTransform(2)
@@ -38,12 +40,12 @@ class TestRevIn:
 
     def test_denormalize_ones_gives_mean_plus_std(self):
         rng = np.random.default_rng(2)
-        t = RevInTransform(2, eps=1e-10)
+        t = RevInTransform(2)
         x = Tensor(rng.normal(size=(3, 8, 2)))
         t.normalize(x)
         out = t.denormalize(Tensor(np.ones((3, 4, 2)))).numpy()
         mu = x.numpy().mean(axis=1, keepdims=True)
-        sd = x.numpy().std(axis=1, keepdims=True)
+        sd = np.sqrt(x.numpy().var(axis=1, keepdims=True) + 1e-5)  # default eps
         np.testing.assert_allclose(out, np.broadcast_to(mu + sd, out.shape), atol=1e-6)
 
     def test_denormalize_before_normalize_is_contract_error(self):
@@ -70,10 +72,6 @@ class TestRevIn:
         np.testing.assert_allclose(
             revin.denormalize(h).numpy(), stack.inverse(h).numpy(), atol=1e-12, rtol=0
         )
-
-    def test_affine_flag_controls_learnables(self):
-        assert len(RevInTransform(3).parameters()) == 2
-        assert len(RevInTransform(3, affine=False).parameters()) == 0
 
 
 class TestIdentity:

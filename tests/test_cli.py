@@ -7,6 +7,7 @@ import pytest
 
 from inflow.cli import (
     VARIANTS,
+    ModelSection,
     RunConfig,
     build_pipeline,
     build_transform,
@@ -147,6 +148,14 @@ class TestConfig:
         assert resolve_mode("revin", "bilevel") == "bilevel"
         assert resolve_mode("none", "auto") == "backbone_only"
 
+    def test_unknown_variant_is_config_error(self):
+        model = tiny_config("x").model
+        model.variant = "bogus"
+        with pytest.raises(ConfigError, match="unknown variant 'bogus'"):
+            resolve_mode("bogus", "auto")
+        with pytest.raises(ConfigError, match="unknown variant 'bogus'"):
+            build_transform(model, num_variates=3, seed=0)
+
     def test_inconsistent_mode_is_preflight_error(self):
         with pytest.raises(ConfigError):
             resolve_mode("inflow_j", "bilevel")
@@ -169,6 +178,30 @@ def test_revin_state_names_its_one_layer():
     pipe = build_pipeline(model, num_variates=3, seed=0)
     assert set(pipe.state_tensors()) == {"phi.layers.0.log_scale", "phi.layers.0.shift",
                                          *pipe.theta_parameters()}
+
+
+# the twelve tensors of the coupling layer at index 1 of a one-block stack
+_COUPLING_NAMES = [f"phi.layers.1.{net}.layer{i}.{kind}" for net in ("scale", "translate")
+                   for i in range(3) for kind in ("bias", "weight")]
+
+
+@pytest.mark.parametrize("variant,backbone,names", [
+    ("inflow", "nbeats_lite",
+     ["phi.layers.0.log_scale", "phi.layers.0.shift", *_COUPLING_NAMES,
+      "theta.blocks.0.backcast.bias", "theta.blocks.0.backcast.weight",
+      "theta.blocks.0.forecast.bias", "theta.blocks.0.forecast.weight",
+      "theta.blocks.0.trunk.layer0.bias", "theta.blocks.0.trunk.layer0.weight"]),
+    ("realnvp", "mlp",
+     ["phi.layers.0.log_scale", "phi.layers.0.shift", *_COUPLING_NAMES,
+      "phi_buffer.layers.0.running_mean", "phi_buffer.layers.0.running_var",
+      "theta.net.layer0.bias", "theta.net.layer0.weight",
+      "theta.net.layer1.bias", "theta.net.layer1.weight"]),
+    ("none", "linear", ["theta.head.bias", "theta.head.weight"]),
+])
+def test_checkpoint_tensor_names_are_pinned(variant, backbone, names):
+    model = ModelSection(variant=variant, num_blocks=1, flow_hidden=2, backbone=backbone,
+                         lookback=4, horizon=2, hidden_width=3, depth=1, nbeats_blocks=1)
+    assert sorted(build_pipeline(model, num_variates=2, seed=0).state_tensors()) == names
 
 
 class TestCheckpoint:
@@ -309,6 +342,24 @@ class TestTrainEval:
             assert rc == 2
             assert message in capsys.readouterr().err
             assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "no_columns"])
+    def test_bad_csv_exits_2_before_writing(self, tmp_path, capsys, case):
+        csv_path = tmp_path / "series.csv"
+        if case == "directory":
+            csv_path.mkdir()
+        elif case == "not_utf8":
+            csv_path.write_bytes(b"a,b\n1.0,\xff\n")
+        elif case == "no_columns":
+            csv_path.write_text("a,b\n" + "1.0,2.0\n" * 100)
+        cfg = tiny_config(tmp_path / "run").to_dict()
+        cfg["dataset"] = {"csv_path": str(csv_path),
+                          **({"columns": []} if case == "no_columns" else {})}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "cfg.json")]) == 2
+        name = "dataset.columns" if case == "no_columns" else str(csv_path)
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = tiny_config(tmp_path / "a")
