@@ -511,6 +511,70 @@ def var_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     return _reduce_axis("var_axis", a, axis, keepdims, rule)
 
 
+def _sum_to(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a [batch, length, variates] array down to (variates,) or
+    (batch, 1, variates) as one matrix product: BLAS beats numpy's axis sum
+    over rows this narrow."""
+    if len(shape) == 1:
+        return np.ones(x.shape[0] * x.shape[1]) @ x.reshape(-1, x.shape[2])
+    return np.matmul(np.ones(x.shape[1]), x).reshape(shape)
+
+
+def affine_norm(h, mu, var, log_scale, shift, eps: float, inverse: bool = False) -> Tensor:
+    """Normalize h by (mu, var) and the affine (exp(log_scale), shift), as one tape node.
+
+    Forward is ((h - mu) * (var + eps)**-0.5) * exp(log_scale) + shift, and
+    `inverse` is ((h - shift) * exp(-log_scale)) * (var + eps)**0.5 + mu. h is
+    [batch, length, variates], mu and var are (variates,) or
+    (batch, 1, variates), log_scale and shift (variates,). Each runs the numpy
+    operations of the op-by-op chain in its order, so the output is
+    bit-identical to it; the backward is derived by hand, with each reduction
+    done once.
+    """
+    h, mu, var, log_scale, shift = (_as_tensor(t) for t in (h, mu, var, log_scale, shift))
+    if h.ndim != 3:
+        raise DimensionError(f"affine_norm: expects [batch, length, variates], got {h.shape}")
+    batch, _, width = h.shape
+    stats, affine = ((width,), (batch, 1, width)), ((width,),)
+    for t, shapes in ((mu, stats), (var, stats), (log_scale, affine), (shift, affine)):
+        if t.shape not in shapes:
+            raise DimensionError(f"affine_norm: shape {t.shape} for input {h.shape}")
+    var_eps = var.data + eps
+    # out = ((h - center) * k1) * k2 + offset
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if inverse:
+            center, offset = shift, mu
+            k1, k2 = np.exp(-log_scale.data), np.power(var_eps, 0.5)
+        else:
+            center, offset = mu, shift
+            k1, k2 = np.power(var_eps, -0.5), np.exp(log_scale.data)
+        data = h.data - center.data
+        data *= k1
+        data *= k2
+        data += offset.data
+    _check_finite(data, "affine_norm")
+    # d out / d log_scale is +-(h - center) * k1 * k2; d out / d var is -+0.5 of
+    # that over var + eps
+    sign = -1.0 if inverse else 1.0
+
+    def grad_fn(g):
+        g_h = g * (k1 * k2)
+        g_center = -_sum_to(g_h, center.shape) if center.requires_grad else None
+        g_offset = _sum_to(g, offset.shape) if offset.requires_grad else None
+        g_ls = g_var = None
+        if log_scale.requires_grad or var.requires_grad:
+            p = h.data - center.data
+            p *= g_h
+            if log_scale.requires_grad:
+                g_ls = sign * _sum_to(p, log_scale.shape)
+            if var.requires_grad:
+                g_var = _sum_to(p, var.shape) * (-0.5 * sign) / var_eps
+        g_mu, g_shift = (g_offset, g_center) if inverse else (g_center, g_offset)
+        return (g_h if h.requires_grad else None, g_mu, g_var, g_ls, g_shift)
+
+    return _record("affine_norm", (h, mu, var, log_scale, shift), _make(data), grad_fn)
+
+
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     return _unary("sum_all", a, np.asarray(a.data.sum()),

@@ -470,6 +470,7 @@ def _ablate_variant(cfg_dict: dict, variant: str, out_root: Path) -> dict:
 
 def cmd_ablate(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     cfg.validate()
+    prepare_windows(cfg)  # an unreadable dataset fails here, before any file is written
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.json")

@@ -61,8 +61,7 @@ class InstanceNormLayer:
     def forward(self, h: Tensor) -> Tensor:
         _check_window(h, f"{self.name} forward", self.num_variates)
         mu, var, _ = self._cache = self._statistics(h)
-        inv_std = ad.power(var + self.eps, -0.5)
-        return (h - mu) * inv_std * ad.exp(self.log_scale) + self.shift
+        return ad.affine_norm(h, mu, var, self.log_scale, self.shift, self.eps)
 
     def inverse(self, h: Tensor) -> Tensor:
         _check_window(h, f"{self.name} inverse", self.num_variates)
@@ -73,8 +72,7 @@ class InstanceNormLayer:
             raise ContractError(
                 f"inverse batch {h.shape[0]} does not match cached forward batch {batch}"
             )
-        std = ad.power(var + self.eps, 0.5)
-        return (h - self.shift) * ad.exp(-self.log_scale) * std + mu
+        return ad.affine_norm(h, mu, var, self.log_scale, self.shift, self.eps, inverse=True)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"log_scale": self.log_scale, "shift": self.shift}

@@ -187,14 +187,30 @@ PRIMITIVE_CASES = [
     ("broadcast", "broadcast_to", lambda a: ad.broadcast_to(a, (2, 3, 4)), 1),
     ("flip", "flip_axis", lambda a: ad.flip_axis(a, 1), 1),
     ("swap", "swap_last_axes", ad.swap_last_axes, 1),
+    # affine_norm over (h, mu, var, log_scale, shift): per-window statistics, as
+    # instance norm has, or pooled ones, as batch norm has
+    ("affine_norm", "affine_norm", lambda *t: ad.affine_norm(*t, eps=1e-5), 5),
+    ("affine_norm_inverse", "affine_norm",
+     lambda *t: ad.affine_norm(*t, eps=1e-5, inverse=True), 5),
+    ("affine_norm_pooled", "affine_norm", lambda *t: ad.affine_norm(*t, eps=1e-5), 5),
+    ("affine_norm_pooled_inverse", "affine_norm",
+     lambda *t: ad.affine_norm(*t, eps=1e-5, inverse=True), 5),
 ]
 
-# inputs are drawn from (-2, 2) except here, away from a pole or a negative base
-PRIMITIVE_DOMAINS = {"div": (0.5, 2.5), "power2": (0.5, 2.5)}
+_WINDOW_STATS = [(2, 4, 3), (2, 1, 3), (2, 1, 3), (3,), (3,)]
+_POOLED_STATS = [(2, 4, 3), (3,), (3,), (3,), (3,)]
+
+# inputs are drawn from (-2, 2) except here, away from a pole or a negative
+# base or variance
+PRIMITIVE_DOMAINS = {"div": (0.5, 2.5), "power2": (0.5, 2.5),
+                     **{c[0]: (0.5, 2.5) for c in PRIMITIVE_CASES if c[1] == "affine_norm"}}
 # inputs are (3, 4) except here; mul, div and broadcast sum a gradient back
 # over a missing leading axis and over a size-1 axis
 PRIMITIVE_SHAPES = {"matmul": [(3, 4), (4, 2)], "mul": [(3, 4), (4,)],
-                    "div": [(3, 1), (3, 4)], "broadcast": [(3, 1)]}
+                    "div": [(3, 1), (3, 4)], "broadcast": [(3, 1)],
+                    "affine_norm": _WINDOW_STATS, "affine_norm_inverse": _WINDOW_STATS,
+                    "affine_norm_pooled": _POOLED_STATS,
+                    "affine_norm_pooled_inverse": _POOLED_STATS}
 
 
 def _primitive_inputs(name, arity, rng, requires_grad=True):
@@ -526,3 +542,22 @@ def test_backward_accumulates_fan_out_before_use():
     tape.backward(loss)
     np.testing.assert_array_equal(tape.grad(p), [14.0, -10.0, 10.0])
     np.testing.assert_array_equal(tape.grad(y), [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 4), (3,), (3,), (3,), (3,)],           # h is not a window
+    [(2, 4, 3), (2, 4, 3), (3,), (3,), (3,)],   # statistics not reduced over time
+    [(2, 4, 3), (3,), (1, 1, 3), (3,), (3,)],   # statistics of another batch
+    [(2, 4, 3), (3,), (3,), (2, 1, 3), (3,)],   # a per-window affine
+], ids=["rank", "unreduced", "batch", "affine"])
+def test_affine_norm_shape_errors(shapes):
+    with pytest.raises(DimensionError, match="affine_norm"):
+        ad.affine_norm(*[Tensor(np.ones(s)) for s in shapes], eps=1e-5)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_affine_norm_overflow_raises_numeric_error(inverse):
+    log_scale = np.full(3, -800.0 if inverse else 800.0)
+    with pytest.raises(NumericError, match="affine_norm"):
+        ad.affine_norm(np.ones((2, 4, 3)), np.zeros(3), np.ones(3), log_scale, np.zeros(3),
+                       eps=1e-5, inverse=inverse)

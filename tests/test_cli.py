@@ -448,3 +448,12 @@ class TestAblate:
         inflow_row = next(row for row in table if row["variant"] == "inflow")
         assert inflow_row["per_seed"] == [[r["seed"], r["test_mse"], r["test_mae"]]
                                           for r in results]
+
+    def test_unreadable_csv_exits_2_before_writing(self, tmp_path, capsys):
+        csv_path = tmp_path / "absent.csv"
+        cfg = tiny_config(tmp_path / "ablation").to_dict()
+        cfg["dataset"] = {"csv_path": str(csv_path)}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["ablate", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert str(csv_path) in capsys.readouterr().err
+        assert not (tmp_path / "ablation").exists()

@@ -256,6 +256,119 @@ class TestBatchNorm:
         with pytest.raises(ContractError):
             layer.inverse(Tensor(np.zeros((1, 3, 2))))
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_gradcheck_forward_and_inverse(self, training):
+        rng = np.random.default_rng(13)
+        layer = _norm_layer("batch_norm_train" if training else "batch_norm_eval", 3, rng)
+        x = Tensor(rng.uniform(-2, 2, size=(3, 6, 3)), requires_grad=True)
+        y = Tensor(rng.uniform(-2, 2, size=(3, 4, 3)), requires_grad=True)
+
+        def loss_fn():
+            # pooled batch statistics in training mode, constant running ones in eval
+            out, back = layer.forward(x), layer.inverse(y)
+            return ad.mean_all(out * out * out) + ad.mean_all(back * back * back)
+
+        check_gradients(loss_fn, [x, y, layer.log_scale, layer.shift], rng, num_probes=40)
+
+
+NORM_KINDS = ["instance_norm", "batch_norm_train", "batch_norm_eval"]
+
+
+def _norm_layer(kind, num_variates, rng):
+    """A normalization layer with a random affine and, in eval, random running statistics."""
+    layer = InstanceNormLayer(num_variates) if kind == "instance_norm" \
+        else BatchNormLayer(num_variates)
+    layer.log_scale.data[:] = rng.normal(size=num_variates) * 0.5
+    layer.shift.data[:] = rng.normal(size=num_variates)
+    if kind == "batch_norm_eval":
+        layer.running_mean.data[:] = rng.normal(size=num_variates)
+        layer.running_var.data[:] = rng.uniform(0.5, 2.0, size=num_variates)
+        layer.training = False
+    return layer
+
+
+def _chain_norm(layer, h, mu, var, inverse):
+    """A normalization layer's affine map as the chain of elementwise ops it replaced."""
+    if inverse:
+        return (h - layer.shift) * ad.exp(-layer.log_scale) * ad.power(var + layer.eps, 0.5) + mu
+    return (h - mu) * ad.power(var + layer.eps, -0.5) * ad.exp(layer.log_scale) + layer.shift
+
+
+def _assert_gradients_close(fused, chain):
+    for g, ref in zip(fused, chain):
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_norm_layer_equals_op_chain(kind, batch):
+    rng = np.random.default_rng(14)
+    layer = _norm_layer(kind, 3, rng)
+    # a level far from zero, a lookback of 7 and a horizon of 5
+    x = Tensor(rng.uniform(-2, 2, size=(batch, 7, 3)) + 10.0, requires_grad=True)
+    y = Tensor(rng.uniform(-2, 2, size=(batch, 5, 3)), requires_grad=True)
+    leaves = [x, y, layer.log_scale, layer.shift]
+
+    def run(fused):
+        with Tape() as tape:
+            if fused:
+                out, back = layer.forward(x), layer.inverse(y)
+            else:
+                mu, var, _ = layer._statistics(x)
+                out = _chain_norm(layer, x, mu, var, inverse=False)
+                back = _chain_norm(layer, y, mu, var, inverse=True)
+            loss = ad.mean_all(out * out * out) + ad.mean_all(back * back * back)
+        tape.backward(loss)
+        return out.data, back.data, [tape.grad(t).copy() for t in leaves]
+
+    out, back, grads = run(fused=True)
+    chain_out, chain_back, chain_grads = run(fused=False)
+    np.testing.assert_array_equal(out, chain_out)
+    np.testing.assert_array_equal(back, chain_back)
+    _assert_gradients_close(grads, chain_grads)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+@pytest.mark.parametrize("stats_shape", [(2, 1, 3), (3,)], ids=["window", "pooled"])
+def test_affine_norm_statistics_gradients_equal_op_chain(stats_shape, inverse):
+    rng = np.random.default_rng(15)
+    layer = _norm_layer("instance_norm", 3, rng)
+    h = Tensor(rng.uniform(-2, 2, size=(2, 5, 3)), requires_grad=True)
+    mu = Tensor(rng.normal(size=stats_shape), requires_grad=True)
+    var = Tensor(rng.uniform(0.5, 2.0, size=stats_shape), requires_grad=True)
+    weight = rng.normal(size=h.shape)
+    leaves = [h, mu, var, layer.log_scale, layer.shift]
+
+    def grads(fn):
+        with Tape() as tape:
+            out = fn(h, mu, var)
+            loss = ad.mean_all(out * weight)
+        tape.backward(loss)
+        return out.data, [tape.grad(t).copy() for t in leaves]
+
+    out, fused = grads(lambda *t: ad.affine_norm(*t, layer.log_scale, layer.shift, layer.eps,
+                                                 inverse=inverse))
+    chain_out, chain = grads(lambda *t: _chain_norm(layer, *t, inverse))
+    np.testing.assert_array_equal(out, chain_out)
+    _assert_gradients_close(fused, chain)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_affine_norm_gives_idle_inputs_no_gradient(inverse):
+    rng = np.random.default_rng(16)
+    inputs = [Tensor(rng.uniform(0.5, 2.0, size=shape), requires_grad=True)
+              for shape in [(2, 5, 3), (2, 1, 3), (2, 1, 3), (3,), (3,)]]
+    with Tape() as tape:
+        out = ad.affine_norm(*inputs, eps=1e-5, inverse=inverse)
+    (node,) = tape.nodes
+    g = np.ones_like(out.data)
+    for idle in inputs:
+        # read when backward runs, so a group frozen after the forward gets nothing
+        idle.requires_grad = False
+        grads = node.backward(g)
+        idle.requires_grad = True
+        assert [gi is None for gi in grads] == [t is idle for t in inputs]
+
 
 @pytest.mark.parametrize("make", [InstanceNormLayer, BatchNormLayer,
                                   lambda n: CouplingLayer(n, hidden=4)],
