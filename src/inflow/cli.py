@@ -162,6 +162,8 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         # train() accepts zero epochs, but a run with none has no model to report
         if self.train.max_epochs < 1:
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.train.max_epochs}")
@@ -468,15 +470,42 @@ def _ablate_variant(cfg_dict: dict, variant: str, out_root: Path) -> dict:
         return {"variant": variant, "status": "failed", "error": f"{type(e).__name__}: {e}"}
 
 
+# read by OpenBLAS, OpenMP and MKL when numpy loads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_roster(cfg: RunConfig, variants, out: Path) -> list[dict]:
+    """Train each variant over `cfg.seeds` into `out/<variant>`; one record per variant.
+
+    Variants run in a spawn pool of min(len(variants), CPU count) workers with
+    one BLAS thread each. Workers read the BLAS settings when they start, so
+    they are set in this process's environment for the pool's lifetime and
+    then restored. Multi-threaded BLAS in each of several workers oversubscribes
+    the cores and sums products in a thread-dependent order, so a worker would
+    neither be faster than a serial run nor give its figures bit for bit.
+    """
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=min(len(variants), os.cpu_count() or 1),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_ablate_variant, repeat(cfg.to_dict()), variants,
+                                 repeat(out)))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def cmd_ablate(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     cfg.validate()
     prepare_windows(cfg)  # an unreadable dataset fails here, before any file is written
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.json")
-    with ProcessPoolExecutor(max_workers=min(len(VARIANTS), os.cpu_count() or 1),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        results = list(pool.map(_ablate_variant, repeat(cfg.to_dict()), VARIANTS, repeat(out)))
+    results = run_roster(cfg, VARIANTS, out)
 
     hashes = {r["anchor_hash"] for r in results if r["status"] == "ok"}
     if len(hashes) > 1:

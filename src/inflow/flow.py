@@ -227,7 +227,6 @@ class FlowStack:
         self.check(num_blocks, hidden)
         if rng is None:
             rng = np.random.default_rng(0)
-        self.num_variates = num_variates
         self.layers: list = []
         for block in range(num_blocks):
             # a degenerate single-variate coupling warns once per stack, not per block
@@ -245,9 +244,8 @@ class FlowStack:
             raise ConfigError(f"hidden must be >= 1, got {hidden}")
 
     @classmethod
-    def from_layers(cls, layers: list, num_variates: int) -> "FlowStack":
+    def from_layers(cls, layers: list) -> "FlowStack":
         stack = cls.__new__(cls)
-        stack.num_variates = num_variates
         stack.layers = list(layers)
         return stack
 

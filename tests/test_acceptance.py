@@ -14,7 +14,7 @@ import pytest
 from inflow import autodiff as ad
 from inflow.autodiff import AdamState, Tape, Tensor, adam_step
 from inflow.baselines import IdentityTransform, RevInTransform
-from inflow.cli import RunConfig, build_pipeline, cmd_train, prepare_windows, resolve_mode
+from inflow.cli import RunConfig, cmd_train, run_roster
 from inflow.data import SeriesDataset, make_windows, split_windows, zscore_fit_apply
 from inflow.evaluation import evaluate
 from inflow.flow import VARIANTS as FLOW_VARIANTS
@@ -222,7 +222,7 @@ def test_criterion_3_normalization_statistics():
     for obj in (revin._norm, layer):
         obj.log_scale.data[:] = gamma
         obj.shift.data[:] = beta
-    stack = FlowStack.from_layers([layer], num_variates=4)
+    stack = FlowStack.from_layers([layer])
     x = Tensor(rng.uniform(-2, 2, size=(2, 16, 4)))
     fwd_gap = float(np.max(np.abs(revin.normalize(x).numpy()
                                   - stack.forward(x).numpy())))
@@ -312,45 +312,31 @@ def test_criterion_5_descent_sanity():
 
 
 EXPERIMENT_SEEDS = [0, 1, 2, 3]
-EXPERIMENT_VARIANTS = ["inflow", "revin", "none", "realnvp", "realnvp_c"]
-
-
-def _experiment_config(variant: str) -> RunConfig:
-    return RunConfig.from_dict({
-        "dataset": {"preset": "synthetic-1", "seed": 0},
-        "model": {"variant": variant, "num_blocks": 2, "flow_hidden": 16,
-                  "backbone": "mlp", "lookback": 48, "horizon": 48,
-                  "hidden_width": 128, "depth": 2},
-        "train": {"batch_size": 1024, "max_epochs": 10, "patience": 3},
-        "seeds": EXPERIMENT_SEEDS,
-    })
+# longest training first, so that the roster pool's workers finish close together
+EXPERIMENT_VARIANTS = ["inflow", "realnvp_c", "realnvp", "revin", "none"]
 
 
 @pytest.fixture(scope="session")
-def synthetic_experiment():
+def synthetic_experiment(tmp_path_factory):
     """Train the variant roster on synthetic-1 with shared windows and seeds."""
+    cfg = RunConfig.from_dict({
+        "dataset": {"preset": "synthetic-1", "seed": 0},
+        "model": {"num_blocks": 2, "flow_hidden": 16, "backbone": "mlp",
+                  "lookback": 48, "horizon": 48, "hidden_width": 128, "depth": 2},
+        "train": {"batch_size": 1024, "max_epochs": 10, "patience": 3},
+        "seeds": EXPERIMENT_SEEDS,
+    })
     t0 = time.time()
-    cfg0 = _experiment_config("inflow")
-    ds, windows, stats = prepare_windows(cfg0)
-    groups = split_windows(windows)
+    records = run_roster(cfg, EXPERIMENT_VARIANTS, tmp_path_factory.mktemp("roster"))
+    elapsed = time.time() - t0
+    failed = [r for r in records if r["status"] != "ok"]
+    assert not failed, failed
     results: dict[str, dict[int, float]] = {}
-    for variant in EXPERIMENT_VARIANTS:
-        cfg = _experiment_config(variant)
-        per_seed = {}
-        for seed in EXPERIMENT_SEEDS:
-            pipe = build_pipeline(cfg.model, ds.num_variates, seed)
-            tc = TrainConfig(
-                inner_lr=cfg.train.inner_lr, outer_lr=cfg.train.outer_lr,
-                batch_size=cfg.train.batch_size, patience=cfg.train.patience,
-                max_epochs=cfg.train.max_epochs, seed=seed,
-                mode=resolve_mode(variant, "auto"),
-            )
-            pipe, _ = train(pipe, windows, tc, zscore_stats=stats)
-            per_seed[seed] = evaluate(pipe, groups["test"], stats).mse
-        results[variant] = per_seed
-        print(f"  {variant}: " + " ".join(f"{m:.4g}" for m in per_seed.values()),
-              flush=True)
-    results["elapsed"] = time.time() - t0
+    for r in records:
+        results[r["variant"]] = {seed: mse for seed, mse, _ in r["per_seed"]}
+        for seed, mse, _ in r["per_seed"]:
+            print(f"  {r['variant']} seed {seed}: test_mse {mse!r}", flush=True)
+    results["elapsed"] = elapsed
     return results
 
 

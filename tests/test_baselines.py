@@ -57,7 +57,7 @@ class TestRevIn:
         rng = np.random.default_rng(3)
         revin = RevInTransform(4)
         layer = InstanceNormLayer(4)
-        stack = FlowStack.from_layers([layer], num_variates=4)
+        stack = FlowStack.from_layers([layer])
         gamma = rng.normal(size=4)
         beta = rng.normal(size=4)
         revin._norm.log_scale.data[:] = gamma

@@ -1,10 +1,12 @@
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from inflow import cli
 from inflow.cli import (
     VARIANTS,
     ModelSection,
@@ -104,8 +106,9 @@ class TestConfig:
         ("train", {"model": {"hidden_width": -2}}, [], "model.hidden_width"),
         ("train", {"model": {"backbone": "nbeats_lite", "nbeats_blocks": -1}}, [],
          "model.nbeats_blocks"),
+        ("train", {}, ["--seed", "1", "--seed", "1"], "seeds"),
     ], ids=["seed_flag", "dataset_seed", "synth_dataset_seed", "flow_hidden",
-            "hidden_width_zero", "hidden_width_negative", "nbeats_blocks"])
+            "hidden_width_zero", "hidden_width_negative", "nbeats_blocks", "seed_repeated"])
     def test_out_of_range_value_exits_2_before_writing(self, tmp_path, capsys, command,
                                                        overrides, flags, key):
         cfg = tiny_config(tmp_path / "run").to_dict()
@@ -430,7 +433,9 @@ class TestAblate:
     def test_roster_and_fairness(self, tmp_path):
         cfg = tiny_config(tmp_path / "ablation", max_epochs=1)
         cfg.train.mode = "auto"
+        environ = dict(os.environ)
         out = cmd_ablate(cfg)
+        assert dict(os.environ) == environ  # the BLAS pin is lifted after the pool
         table = json.loads((out / "ablation.json").read_text())["table"]
         assert [row["variant"] for row in table] == list(VARIANTS)
         ok = [row for row in table if row["status"] == "ok"]
@@ -448,6 +453,34 @@ class TestAblate:
         inflow_row = next(row for row in table if row["variant"] == "inflow")
         assert inflow_row["per_seed"] == [[r["seed"], r["test_mse"], r["test_mae"]]
                                           for r in results]
+
+    def test_workers_start_with_one_blas_thread(self, tmp_path, monkeypatch):
+        # the roster's tiny shapes start no BLAS threads, so a real pool cannot show the pin
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):  # spawn workers read the environment here
+                seen.append({k: os.environ.get(k) for k in blas_vars})
+                return []
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        cli.run_roster(tiny_config(tmp_path), ["none"], tmp_path)
+        assert seen == [dict.fromkeys(blas_vars, "1")]
+        assert dict(os.environ) == environ
 
     def test_unreadable_csv_exits_2_before_writing(self, tmp_path, capsys):
         csv_path = tmp_path / "absent.csv"

@@ -463,7 +463,7 @@ class TestFlowStack:
 
     def test_inverse_restores_lookback_scale_on_horizon(self):
         layer = InstanceNormLayer(1, eps=1e-12)
-        stack = FlowStack.from_layers([layer], num_variates=1)
+        stack = FlowStack.from_layers([layer])
         x = Tensor(np.array([2.0, 4.0, 6.0, 8.0]).reshape(1, 4, 1))
         stack.forward(x)
         mu, sigma = 5.0, np.std([2.0, 4.0, 6.0, 8.0])
