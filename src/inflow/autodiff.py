@@ -499,12 +499,26 @@ def mean_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     return _reduce_axis("mean_axis", a, axis, keepdims, rule)
 
 
-def var_axis(a, axis: int, keepdims: bool = False) -> Tensor:
-    """Biased (divide-by-N) variance along one axis."""
+def var_axis(a, axis: int, keepdims: bool = False, mean=None) -> Tensor:
+    """Biased (divide-by-N) variance along one axis.
+
+    `mean`, if given, is a's mean along that axis, with or without the axis
+    kept, such as `mean_axis`'s output; the variance centres on it instead of
+    taking the mean again. It is data, not a recorded input.
+    """
     def rule(x, axis):
         n = x.shape[axis]
-        mu = x.mean(axis=axis, keepdims=True)
-        # d var / d x_i = 2 (x_i - mu) / N; the mu terms cancel exactly
+        if mean is None:
+            mu = x.mean(axis=axis, keepdims=True)
+        else:
+            mu = _as_tensor(mean).data
+            kept = x.shape[:axis] + (1,) + x.shape[axis + 1:]
+            if mu.shape not in (kept, x.shape[:axis] + x.shape[axis + 1:]):
+                raise DimensionError(f"var_axis: mean shape {mu.shape} for input {x.shape} "
+                                     f"along axis {axis}")
+            mu = mu.reshape(kept)
+        # d var / d x_i = 2 (x_i - mu) / N; the mu terms cancel exactly, so a
+        # given mean needs no gradient of its own
         return (((x - mu) ** 2).mean(axis=axis, keepdims=keepdims),
                 lambda g: g * (2.0 / n) * (x - mu))
 

@@ -34,6 +34,19 @@ class MetricReport:
         }
 
 
+def _check_stats(windows: list[WindowPair], stats: ZScoreStats | None) -> None:
+    """Stats must be given exactly when the windows were cut from a z-scored dataset."""
+    if stats is None and any(w.zscored for w in windows):
+        raise ContractError(
+            "windows come from a z-scored dataset; pass the fitted statistics"
+        )
+    if stats is not None and not all(w.zscored for w in windows):
+        raise ContractError(
+            "z-score statistics given for windows of a raw dataset; "
+            "un-standardizing them would report metrics in the wrong units"
+        )
+
+
 def _predict_batch(pipeline: ForecastPipeline, windows: list[WindowPair],
                    stats: ZScoreStats | None) -> tuple[np.ndarray, np.ndarray]:
     x = Tensor(np.stack([w.x for w in windows]))
@@ -50,16 +63,14 @@ def evaluate(pipeline: ForecastPipeline, windows: list[WindowPair],
              batch_size: int = 1024) -> MetricReport:
     """Original-scale MSE/MAE over every element of the given windows.
 
-    Runs outside any tape, so no gradients are recorded. If the windows were
-    cut from a standardized dataset the fitted statistics are required, and
-    metrics are computed after undoing the standardization.
+    Runs outside any tape, so no gradients are recorded. The fitted
+    statistics are required if the windows were cut from a standardized
+    dataset, and refused if not; metrics are computed after undoing the
+    standardization.
     """
     if not windows:
         raise ContractError("evaluate needs at least one window")
-    if any(w.zscored for w in windows) and zscore_stats is None:
-        raise ContractError(
-            "windows come from a z-scored dataset; pass the fitted statistics"
-        )
+    _check_stats(windows, zscore_stats)
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
@@ -114,10 +125,7 @@ class ForecastTrace:
 def dump_forecast_trace(pipeline: ForecastPipeline, window: WindowPair,
                         zscore_stats: ZScoreStats | None = None) -> ForecastTrace:
     """Run one window through the pipeline and capture every stage."""
-    if window.zscored and zscore_stats is None:
-        raise ContractError(
-            "window comes from a z-scored dataset; pass the fitted statistics"
-        )
+    _check_stats([window], zscore_stats)
     x = Tensor(window.x[None, :, :])
     x_t, y_t, y_hat = pipeline.predict_stages(x)
     x_raw, y_raw, y_true = window.x, y_hat.numpy()[0], window.y

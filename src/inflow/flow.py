@@ -55,7 +55,7 @@ class InstanceNormLayer:
     def _statistics(self, h: Tensor) -> tuple[Tensor, Tensor, int | None]:
         """The mean and variance that normalize h, and the batch they belong to (None: any)."""
         mu = ad.mean_axis(h, axis=1, keepdims=True)
-        var = ad.var_axis(h, axis=1, keepdims=True)
+        var = ad.var_axis(h, axis=1, keepdims=True, mean=mu)
         return mu, var, h.shape[0]
 
     def forward(self, h: Tensor) -> Tensor:
@@ -105,7 +105,7 @@ class BatchNormLayer(InstanceNormLayer):
             return self.running_mean, self.running_var, None
         flat = ad.reshape(h, (h.shape[0] * h.shape[1], h.shape[2]))
         mu = ad.mean_axis(flat, axis=0)
-        var = ad.var_axis(flat, axis=0)
+        var = ad.var_axis(flat, axis=0, mean=mu)
         m = BN_MOMENTUM
         self.running_mean.data = (1 - m) * self.running_mean.data + m * mu.data
         self.running_var.data = (1 - m) * self.running_var.data + m * var.data

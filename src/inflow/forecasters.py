@@ -1,8 +1,8 @@
 """Backbone models mapping a lookback window to a horizon window.
 
 All backbones take [batch, lookback, variates] and return
-[batch, horizon, variates]. Multivariate inputs are handled by folding the
-variate axis into the batch, so each variate is processed as an independent
+[batch, horizon, variates]. Multivariate inputs are handled by moving the
+variate axis ahead of time, so each variate is processed as an independent
 univariate sample by shared weights.
 """
 
@@ -47,15 +47,13 @@ def _check_input(x: Tensor, cfg: ForecasterConfig) -> None:
 
 
 def _fold_variates(x: Tensor) -> Tensor:
-    """[B, L, D] -> [B*D, L] so variates become independent samples."""
-    b, length, d = x.shape
-    return ad.reshape(ad.swap_last_axes(x), (b * d, length))
+    """[B, L, D] -> [B, D, L] so each variate is a sample of its own."""
+    return ad.swap_last_axes(x)
 
 
-def _unfold_variates(y: Tensor, batch: int, num_variates: int) -> Tensor:
-    """[B*D, H] -> [B, H, D], inverse of _fold_variates."""
-    h = y.shape[1]
-    return ad.swap_last_axes(ad.reshape(y, (batch, num_variates, h)))
+def _unfold_variates(y: Tensor) -> Tensor:
+    """[B, D, H] -> [B, H, D], inverse of _fold_variates."""
+    return ad.swap_last_axes(y)
 
 
 class LinearForecaster:
@@ -67,8 +65,7 @@ class LinearForecaster:
 
     def forward(self, x: Tensor) -> Tensor:
         _check_input(x, self.cfg)
-        b, _, d = x.shape
-        return _unfold_variates(self.head(_fold_variates(x)), b, d)
+        return _unfold_variates(self.head(_fold_variates(x)))
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({"head": self.head})
@@ -84,8 +81,7 @@ class MLPForecaster:
 
     def forward(self, x: Tensor) -> Tensor:
         _check_input(x, self.cfg)
-        b, _, d = x.shape
-        return _unfold_variates(self.net(_fold_variates(x)), b, d)
+        return _unfold_variates(self.net(_fold_variates(x)))
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({"net": self.net})
@@ -125,12 +121,12 @@ class NBeatsLite:
         _check_input(x, self.cfg)
         b, _, d = x.shape
         residual = _fold_variates(x)
-        forecast = Tensor(np.zeros((b * d, self.cfg.horizon)))
+        forecast = Tensor(np.zeros((b, d, self.cfg.horizon)))
         for block in self.blocks:
             backcast, block_forecast = block(residual)
             residual = residual - backcast
             forecast = forecast + block_forecast
-        return _unfold_variates(forecast, b, d)
+        return _unfold_variates(forecast)
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({f"blocks.{i}": block for i, block in enumerate(self.blocks)})

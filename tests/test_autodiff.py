@@ -155,6 +155,37 @@ def test_var_axis_is_biased():
     assert out.numpy()[0] == pytest.approx(1.25)  # divide by N, not N-1
 
 
+# instance norm's per-window statistics, then batch norm's pooled ones
+@pytest.mark.parametrize("shape,axis,keepdims", [((4, 6, 3), 1, True), ((24, 3), 0, False)])
+def test_var_axis_given_mean_is_bit_identical(shape, axis, keepdims):
+    x = Tensor(np.random.default_rng(11).normal(3.0, 2.0, size=shape), requires_grad=True)
+
+    def run(mean_keepdims=None):
+        with Tape() as tape:
+            mean = None
+            if mean_keepdims is not None:
+                mean = ad.mean_axis(x, axis, keepdims=mean_keepdims)
+            var = ad.var_axis(x, axis, keepdims=keepdims, mean=mean)
+            loss = ad.mean_all(var * var)
+        (node,) = [n for n in tape.nodes if n.op == "var_axis"]
+        assert len(node.inputs) == 1 and node.inputs[0] is x
+        tape.backward(loss)
+        return var.data, tape.grad(x)
+
+    value, grad = run()
+    for mean_keepdims in (True, False):
+        given_value, given_grad = run(mean_keepdims)
+        assert given_value.tobytes() == value.tobytes()
+        assert given_grad.tobytes() == grad.tobytes()
+
+
+def test_var_axis_rejects_a_mean_of_the_wrong_shape():
+    x = Tensor(np.ones((4, 6, 3)))
+    for shape in ((4, 3, 1), (1, 6, 3), (6, 3), (3,)):
+        with pytest.raises(DimensionError, match="var_axis"):
+            ad.var_axis(x, 1, mean=np.zeros(shape))
+
+
 def test_broadcast_middle_axis():
     x = Tensor(np.ones((2, 4, 3)))
     mu = Tensor(np.full((2, 1, 3), 0.5))
@@ -179,6 +210,9 @@ PRIMITIVE_CASES = [
     # reduces axis 1 and drops it, so the gradient needs its axis put back
     ("mean_axis_drop", "mean_axis", lambda a: ad.mean_axis(a, axis=1), 1),
     ("var_axis", "var_axis", lambda a: ad.var_axis(a, axis=1, keepdims=True), 1),
+    # a given mean is data: the node records a alone
+    ("var_axis_given_mean", "var_axis",
+     lambda a: ad.var_axis(a, axis=1, mean=a.data.mean(axis=1)), 1),
     ("sum_all", "sum_all", ad.sum_all, 1),
     ("mean_all", "mean_all", ad.mean_all, 1),
     ("slice", "slice_axis", lambda a: ad.slice_axis(a, axis=1, start=1, stop=3), 1),

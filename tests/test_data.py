@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,60 @@ def make_dataset(total, train_end, val_end, num_variates=1, seed=0):
     )
 
 
+def loop_synthetic(cfg):
+    """The generator as a loop over segments with four scalar `uniform` calls
+    each: the reference generate_synthetic must equal bit for bit."""
+    num_segments = math.ceil(cfg.total_length / cfg.tau)
+    values = np.empty((cfg.total_length, cfg.num_series))
+    segments = []
+    for d in range(cfg.num_series):
+        rng = np.random.default_rng([cfg.seed, d])
+        series = []
+        for u in range(num_segments):
+            start = u * cfg.tau
+            stop = min(start + cfg.tau, cfg.total_length)
+            amp = rng.uniform(*cfg.amplitude_range)
+            period = rng.uniform(*cfg.period_range)
+            if cfg.min_period is not None:
+                period = max(period, cfg.min_period)
+            phase = rng.uniform(*cfg.phase_range)
+            scale = math.ceil((start + 1) / 100)
+            level = rng.uniform(*sorted((-scale * cfg.level_scale[0],
+                                         -scale * cfg.level_scale[1])))
+            t = np.arange(start + 1, stop + 1, dtype=np.float64)
+            values[start:stop, d] = amp * np.cos(2.0 * np.pi * t / period + phase) + level
+            series.append({"start": start, "stop": stop, "amplitude": amp,
+                           "period": period, "phase": phase, "level": level})
+        segments.append(series)
+    return values, segments
+
+
+SYNTHETIC_CASES = [
+    *(SyntheticConfig.preset(name, seed=seed)
+      for name in ("synthetic-1", "synthetic-2", "synthetic-3") for seed in (0, 1, 7)),
+    SyntheticConfig(tau=24, total_length=1001, seed=2),  # a short last segment
+    SyntheticConfig(tau=2, total_length=2000, seed=7, min_period=None),
+    SyntheticConfig(tau=12, total_length=500, num_series=1, seed=3),
+]
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("cfg", SYNTHETIC_CASES,
+                             ids=[f"tau{c.tau}-T{c.total_length}-D{c.num_series}-seed{c.seed}"
+                                  f"-minp{c.min_period}" for c in SYNTHETIC_CASES])
+    def test_equals_the_segment_loop_bit_for_bit(self, cfg):
+        values, segments = loop_synthetic(cfg)
+        ds = generate_synthetic(cfg)
+        assert ds.values.shape == values.shape
+        assert ds.values.tobytes() == values.tobytes()
+        assert ds.provenance["segments"] == segments
+        for series in ds.provenance["segments"]:
+            for seg in series:
+                assert type(seg["start"]) is int and type(seg["stop"]) is int
+                for key in ("amplitude", "period", "phase", "level"):
+                    assert type(seg[key]) is float
+        json.dumps(ds.provenance)
+
     def test_preset_segment_layout(self):
         cfg = SyntheticConfig.preset("synthetic-1", seed=1)
         assert cfg.tau == 24
@@ -198,6 +252,16 @@ class TestWindows:
         ds = make_dataset(40, 20, 24)
         with pytest.raises(ConfigError, match="'val'"):
             make_windows(ds, 4, 3)
+
+    def test_windows_are_private_copies(self):
+        ds = make_dataset(40, 20, 30, num_variates=2)
+        before = ds.values.copy()
+        first, second = make_windows(ds, lookback=4, horizon=3)[:2]
+        next_x = second.x.copy()
+        first.x[:] = 99.0
+        first.y[:] = 99.0
+        np.testing.assert_array_equal(ds.values, before)
+        np.testing.assert_array_equal(second.x, next_x)
 
     def test_split_tags_partition_regions(self):
         ds = make_dataset(60, 30, 45)

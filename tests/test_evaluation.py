@@ -93,6 +93,17 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(pipe, windows)
 
+    def test_stats_for_raw_windows_rejected(self):
+        values = np.linspace(0.0, 10.0, 40).reshape(-1, 1)
+        ds = SeriesDataset(values=values, train_end=24, val_end=32)
+        _, stats = zscore_fit_apply(ds)
+        raw = split_windows(make_windows(ds, 4, 2))["test"]
+        pipe = ForecastPipeline(IdentityTransform(), ConstantForecaster(4, 2, 1))
+        with pytest.raises(ContractError, match="raw dataset"):
+            evaluate(pipe, raw, zscore_stats=stats)
+        with pytest.raises(ContractError, match="raw dataset"):
+            dump_forecast_trace(pipe, raw[0], stats)
+
     def test_zscore_inverse_applied(self):
         values = np.linspace(0.0, 10.0, 40).reshape(-1, 1)
         ds = SeriesDataset(values=values, train_end=24, val_end=32)

@@ -84,6 +84,23 @@ def test_per_variate_independence(kind):
     assert np.any(bumped[:, :, 1] != base[:, :, 1])
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp", "nbeats_lite"])
+def test_forward_folds_variates_without_reshape(kind):
+    rng = np.random.default_rng(9)
+    model = build_forecaster(small_cfg(kind), rng=rng)
+    x = Tensor(rng.normal(size=(5, 6, 3)), requires_grad=True)
+    with Tape() as tape:
+        out = model.forward(x)
+    ops = [node.op for node in tape.nodes]
+    assert "reshape" not in ops
+    assert ops[0] == ops[-1] == "swap_last_axes"
+    if kind == "mlp":
+        # one row per (window, variate) gives the same forecast, bit for bit
+        rows = np.swapaxes(x.numpy(), 1, 2).reshape(15, 6)
+        want = model.net(Tensor(rows)).numpy().reshape(5, 3, 4).swapaxes(1, 2)
+        np.testing.assert_array_equal(out.numpy(), want)
+
+
 class TestNBeatsLite:
     def test_zero_heads_give_zero_forecast_and_full_residual(self):
         rng = np.random.default_rng(5)
