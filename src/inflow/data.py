@@ -111,7 +111,11 @@ class SeriesDataset:
 
 @dataclass
 class WindowPair:
-    """One (lookback, horizon) sample; `anchor` is the first horizon index."""
+    """One (lookback, horizon) sample; `anchor` is the first horizon index.
+
+    Windows cut by `make_windows` are read-only views of their dataset's
+    values, so neighbouring windows share memory and no window can be written.
+    """
 
     x: np.ndarray  # [L, D]
     y: np.ndarray  # [H, D]
@@ -289,7 +293,11 @@ def make_windows(ds: SeriesDataset, lookback: int, horizon: int,
     are tagged inner_train and the trailing 10% outer_val; the dataset's own
     validation region keeps the `val` tag for early stopping.
     """
-    values, zscored = ds.values, ds.zscored
+    # every window views this read-only view of the series: no copies, and a
+    # write into any window raises instead of changing its neighbours
+    values = ds.values.view()
+    values.flags.writeable = False
+    zscored = ds.zscored
     windows: list[WindowPair] = []
     append = windows.append
     for region in ("train", "val", "test"):
@@ -307,13 +315,9 @@ def make_windows(ds: SeriesDataset, lookback: int, horizon: int,
             tags = ["inner_train"] * len(anchors)
         else:
             tags = [region] * len(anchors)
-        # each window owns copies: views of ds.values slowed training steps
-        # through the heap (ROADMAP item 4). Appending one window at a time
-        # keeps that heap layout too; per-region lists joined with `+=` raised
-        # forecast-small-batch's minor page faults by about 60%.
         for anchor, tag in zip(anchors, tags):
-            append(WindowPair(values[anchor - lookback:anchor].copy(),
-                              values[anchor:anchor + horizon].copy(), anchor, tag, zscored))
+            append(WindowPair(values[anchor - lookback:anchor],
+                              values[anchor:anchor + horizon], anchor, tag, zscored))
     return windows
 
 
@@ -336,8 +340,10 @@ class ZScoreStats:
     def apply(self, arr: np.ndarray) -> np.ndarray:
         return (arr - self.mean) / self.std
 
-    def inverse(self, arr: np.ndarray) -> np.ndarray:
-        return arr * self.std + self.mean
+    def inverse(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(arr, self.std, out=out)
+        out += self.mean
+        return out
 
 
 def zscore_fit_apply(ds: SeriesDataset) -> tuple[SeriesDataset, ZScoreStats]:

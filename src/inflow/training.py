@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import evaluation
-from .autodiff import Adam, Tape, Tensor, mean_all
+from .autodiff import Adam, Tape, Tensor, mean_all, stack
 from .data import WindowPair, split_windows
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .pipeline import ForecastPipeline
@@ -79,8 +79,8 @@ def stack_windows(windows: list[WindowPair]) -> Batch:
     tags = {w.split for w in windows}
     if len(tags) != 1:
         raise ContractError(f"batch mixes split tags {sorted(tags)}")
-    x = Tensor(np.stack([w.x for w in windows]))
-    y = Tensor(np.stack([w.y for w in windows]))
+    x = Tensor(stack([w.x for w in windows]))
+    y = Tensor(stack([w.y for w in windows]))
     return Batch(x=x, y=y, anchors=[w.anchor for w in windows], split=tags.pop())
 
 

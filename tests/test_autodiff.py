@@ -595,3 +595,118 @@ def test_affine_norm_overflow_raises_numeric_error(inverse):
     with pytest.raises(NumericError, match="affine_norm"):
         ad.affine_norm(np.ones((2, 4, 3)), np.zeros(3), np.ones(3), log_scale, np.zeros(3),
                        eps=1e-5, inverse=inverse)
+
+
+# ---------------------------------------------------------------------------
+# the arena
+
+
+@pytest.fixture
+def arena(monkeypatch):
+    """A fresh arena of 1 MiB chunks that serves every array of 4 KiB or more."""
+    fresh = ad.Arena()
+    monkeypatch.setattr(ad, "ARENA", fresh)
+    monkeypatch.setattr(ad, "ARENA_MIN_BYTES", 4096)
+    monkeypatch.setattr(ad, "ARENA_CHUNK_BYTES", 2**20)
+    return fresh
+
+
+def _all_free(arena):
+    return arena.free_ranges() == [[(0, size)] for size in arena.sizes]
+
+
+def test_arena_range_is_not_reused_while_a_view_lives(arena):
+    a = ad.empty((32, 32))
+    assert arena.owns(a) and a.ctypes.data % 64 == 0
+    first, view = a.ctypes.data, a.T[3:]
+    del a
+    b = ad.empty((32, 32))
+    assert b.ctypes.data != first and not np.shares_memory(b, view)
+    del view
+    c = ad.empty((32, 32))
+    assert c.ctypes.data == first
+
+
+def test_arena_merges_freed_neighbours(arena):
+    a, b, c = (ad.empty((1024,)) for _ in range(3))
+    assert not arena.owns(np.empty(1024))
+    del a, c
+    assert arena.free_ranges() == [[(0, 8192), (16384, 2**20)]]
+    del b
+    assert arena.free_ranges() == [[(0, 2**20)]]
+
+
+def test_full_arena_falls_back_to_numpy(arena, monkeypatch):
+    monkeypatch.setattr(ad, "ARENA_MAX_BYTES", 2**20)
+    held = ad.empty((100_000,))
+    spill = ad.empty((100_000,))
+    assert arena.owns(held) and not arena.owns(spill) and arena.capacity == 2**20
+    x = np.linspace(-1.0, 1.0, 100_000)
+    np.testing.assert_array_equal(ad.exp(Tensor(x)).numpy(), np.exp(x))
+
+
+def _flow_setup(seed=0):
+    """A flow stack and MLP backbone with inner_train and outer_val batches."""
+    from inflow.data import SyntheticConfig, generate_synthetic, make_windows, \
+        split_windows, zscore_fit_apply
+    from inflow.flow import FlowStack
+    from inflow.forecasters import ForecasterConfig, build_forecaster
+    from inflow.pipeline import ForecastPipeline
+    from inflow.training import BiLevelState, TrainConfig, stack_windows
+
+    ds, stats = zscore_fit_apply(generate_synthetic(
+        SyntheticConfig(tau=24, total_length=600, num_series=3, seed=seed)))
+    groups = split_windows(make_windows(ds, 16, 8, use_bilevel=True))
+    pipe = ForecastPipeline(
+        FlowStack(3, num_blocks=2, hidden=8, rng=np.random.default_rng(seed)),
+        build_forecaster(ForecasterConfig(kind="mlp", lookback=16, horizon=8, num_variates=3,
+                                          hidden_width=32, depth=2),
+                         rng=np.random.default_rng(seed + 1)))
+    state = BiLevelState.for_pipeline(pipe, TrainConfig())
+    return (pipe, state, stack_windows(groups["inner_train"]),
+            stack_windows(groups["outer_val"]), groups, stats)
+
+
+def test_every_range_is_free_after_a_bilevel_step(arena):
+    from inflow.training import bilevel_step
+
+    pipe, state, inner, outer, _, _ = _flow_setup()
+    assert arena.owns(inner.x.data)
+    bilevel_step(state, pipe, inner, outer)
+    assert len(arena.chunks) > 0
+    del inner, outer
+    assert _all_free(arena)
+
+
+def test_prediction_is_unchanged_by_later_steps_and_evaluations(arena):
+    from inflow.evaluation import evaluate
+    from inflow.training import bilevel_step
+
+    pipe, state, inner, outer, groups, stats = _flow_setup()
+    pipe.eval_mode()
+    y = pipe.predict(Tensor(inner.x.data)).numpy()
+    assert arena.owns(y)
+    kept = y.copy()
+    for _ in range(2):
+        bilevel_step(state, pipe, inner, outer)
+        evaluate(pipe, groups["val"], stats)
+    np.testing.assert_array_equal(y, kept)
+
+
+def test_bilevel_steps_match_steps_without_the_arena(arena, monkeypatch):
+    from inflow.training import bilevel_step
+
+    def digest_after_steps():
+        pipe, state, inner, outer, _, _ = _flow_setup(seed=4)
+        for _ in range(3):
+            bilevel_step(state, pipe, inner, outer)
+        params = pipe.parameters()
+        return zlib.crc32(b"".join(params[k].data.tobytes() for k in sorted(params)))
+
+    with_arena = digest_after_steps()
+    assert len(arena.chunks) > 0
+    monkeypatch.setattr(ad, "ARENA", ad.Arena())
+    monkeypatch.setattr(ad, "ARENA_MIN_BYTES", 2**62)
+    without = digest_after_steps()
+    assert ad.ARENA.chunks == []
+    assert with_arena == without

@@ -253,13 +253,15 @@ class TestWindows:
         with pytest.raises(ConfigError, match="'val'"):
             make_windows(ds, 4, 3)
 
-    def test_windows_are_private_copies(self):
+    def test_windows_are_read_only_views_of_the_series(self):
         ds = make_dataset(40, 20, 30, num_variates=2)
         before = ds.values.copy()
         first, second = make_windows(ds, lookback=4, horizon=3)[:2]
         next_x = second.x.copy()
-        first.x[:] = 99.0
-        first.y[:] = 99.0
+        assert np.shares_memory(first.x, ds.values) and np.shares_memory(first.y, ds.values)
+        for arr in (first.x, first.y):
+            with pytest.raises(ValueError):
+                arr[:] = 99.0
         np.testing.assert_array_equal(ds.values, before)
         np.testing.assert_array_equal(second.x, next_x)
 
