@@ -8,9 +8,10 @@ by walking the recorded nodes once, in reverse order.
 Broadcasting follows numpy's trailing-dimension rule but is restricted to
 rank <= 3 so every gradient rule stays auditable by hand.
 
-Large arrays, the ops' outputs and gradients among them, come from one
-arena this module owns (see `Arena`). Only the destination memory of each
-numpy call depends on it, so every result is the same bit for bit.
+Large arrays, among them the outputs and gradients of the ops the package
+runs, come from one arena this module owns (see `Arena`). Only the
+destination memory of each numpy call depends on it, so every result is the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -159,27 +160,24 @@ class Arena:
 ARENA = Arena()
 
 
+# itemsizes of the dtypes the ops allocate, read faster than through np.dtype
+_ITEMSIZE = {np.float64: 8, np.bool_: 1}
+
+
+def _out(shape: tuple, dtype=np.float64) -> Optional[np.ndarray]:
+    """A destination for a numpy call: an arena array if it takes
+    ARENA_MIN_BYTES or more, else None, so that numpy allocates as it would
+    without `out`."""
+    itemsize = _ITEMSIZE.get(dtype) or np.dtype(dtype).itemsize
+    if math.prod(shape) * itemsize >= ARENA_MIN_BYTES:
+        return ARENA.empty(shape, dtype)
+    return None
+
+
 def empty(shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialized array: from the arena if it takes ARENA_MIN_BYTES or more."""
-    if math.prod(shape) * np.dtype(dtype).itemsize >= ARENA_MIN_BYTES:
-        return ARENA.empty(shape, dtype)
-    return np.empty(shape, dtype)
-
-
-def _out(shape: tuple) -> Optional[np.ndarray]:
-    """A float64 destination for a numpy call: an arena array if large, else
-    None, so that numpy allocates as it would without `out`."""
-    if math.prod(shape) * 8 >= ARENA_MIN_BYTES:
-        return ARENA.empty(shape)
-    return None
-
-
-def _mask(like: np.ndarray) -> Optional[np.ndarray]:
-    """A boolean destination shaped like `like`: an arena array if `like` is
-    large, else None."""
-    if like.nbytes >= ARENA_MIN_BYTES:
-        return ARENA.empty(like.shape, np.bool_)
-    return None
+    dst = _out(shape, dtype)
+    return np.empty(shape, dtype) if dst is None else dst
 
 
 def _copy(src: np.ndarray) -> np.ndarray:
@@ -206,7 +204,7 @@ def stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _check_finite(data: np.ndarray, context: str) -> None:
-    if not np.isfinite(data, out=_mask(data)).all():
+    if not np.isfinite(data, out=_out(data.shape, np.bool_)).all():
         raise NumericError(f"non-finite values produced by {context}")
 
 
@@ -470,7 +468,7 @@ def div(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _unary("neg", a, _negated(a.data), _negated)
+    return _unary("neg", a, -a.data, lambda g: -g)
 
 
 def exp(a) -> Tensor:
@@ -483,21 +481,13 @@ def exp(a) -> Tensor:
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.tanh(a.data, out=_out(a.shape))
-
-    def grad_fn(g):
-        # g * (1 - data * data)
-        local = np.multiply(data, data, out=_out(data.shape))
-        np.subtract(1.0, local, out=local)
-        return np.multiply(g, local, out=local)
-
-    return _unary("tanh", a, data, grad_fn)
+    data = np.tanh(a.data)
+    return _unary("tanh", a, data, lambda g: g * (1.0 - data * data))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    return _unary("relu", a, np.maximum(a.data, 0.0, out=_out(a.shape)),
-                  lambda g: _times(g, np.greater(a.data, 0.0, out=_mask(a.data))))
+    return _unary("relu", a, np.maximum(a.data, 0.0), lambda g: g * (a.data > 0.0))
 
 
 def power(a, p: float) -> Tensor:
@@ -505,15 +495,14 @@ def power(a, p: float) -> Tensor:
     a = _as_tensor(a)
     p = float(p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        data = np.power(a.data, p, out=_out(a.shape))
+        data = np.power(a.data, p)
     _check_finite(data, f"power(exponent={p})")
 
     def grad_fn(g):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            local = np.power(a.data, p - 1.0, out=_out(a.shape))
-            np.multiply(p, local, out=local)
+            local = p * np.power(a.data, p - 1.0)
         _check_finite(local, f"power(exponent={p}) gradient")
-        return np.multiply(g, local, out=local)
+        return g * local
 
     return _unary("power", a, data, grad_fn)
 
@@ -533,15 +522,14 @@ def matmul(a, b) -> Tensor:
     a2 = a.data.reshape(-1, a.shape[-1])
     out_shape = a.shape[:-1] + (b.shape[1],)
     with np.errstate(over="ignore", invalid="ignore"):
-        data = np.matmul(a2, b.data, out=_out((len(a2), b.shape[1]))).reshape(out_shape)
+        data = (a2 @ b.data).reshape(out_shape)
     _check_finite(data, "matmul")
     out = _make(data)
 
     def grad_fn(g):
         g2 = g.reshape(-1, b.shape[1])
-        ga = (np.matmul(g2, b.data.T, out=_out(a2.shape)).reshape(a.shape)
-              if a.requires_grad else None)
-        gb = np.matmul(a2.T, g2, out=_out(b.shape)) if b.requires_grad else None
+        ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
+        gb = a2.T @ g2 if b.requires_grad else None
         return (ga, gb)
 
     return _record("matmul", (a, b), out, grad_fn)
@@ -569,7 +557,7 @@ def _activation_grad(g: np.ndarray, out: np.ndarray, activation: Optional[str],
         np.subtract(1.0, d, out=d)
         return np.multiply(g, d, out=d)
     if activation == "relu":
-        return np.multiply(g, np.greater(out, 0.0, out=_mask(out)), out=dst)
+        return np.multiply(g, np.greater(out, 0.0, out=_out(out.shape, np.bool_)), out=dst)
     if dst is None:
         return g
     np.copyto(dst, g)

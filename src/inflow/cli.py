@@ -26,6 +26,7 @@ import numpy as np
 
 from .baselines import IdentityTransform, RevInTransform
 from .data import (
+    SYNTHETIC_PRESETS,
     SeriesDataset,
     SyntheticConfig,
     ZScoreStats,
@@ -41,7 +42,7 @@ from .data import (
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .evaluation import dump_forecast_trace, evaluate
 from .flow import FlowStack
-from .forecasters import ForecasterConfig, build_forecaster
+from .forecasters import KINDS, ForecasterConfig, build_forecaster
 from .pipeline import ForecastPipeline
 from .training import TrainConfig, train
 
@@ -226,10 +227,14 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig.from_dict(d)
 
 
+def _write_json(path: str | Path, payload) -> None:
+    """Write an artifact as indented JSON with sorted keys, so reruns match byte for byte."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, cfg.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +289,7 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +363,19 @@ def anchor_hash(windows) -> str:
 # commands
 
 
+def _run_dir(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
+    """The command's output directory, `out_dir` or else `cfg.out_dir`, created."""
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{out}: cannot create output directory: {e}") from None
+    return out
+
+
 def cmd_synth(cfg: RunConfig) -> Path:
     ds = build_dataset(cfg.dataset)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(cfg)
     save_csv(ds, out / "series.csv")
     write_manifest(ds, out / "dataset_manifest.json")
     print(f"wrote {out / 'series.csv'} ({ds.num_steps} steps, {ds.num_variates} variates)")
@@ -399,8 +409,7 @@ def _train_one_seed(cfg: RunConfig, windows, stats, seed: int, num_variates: int
 def cmd_train(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     cfg.validate()
     ds, windows, stats = prepare_windows(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(cfg, out_dir)
     save_config(cfg, out / "config.json")
     results = []
     for seed in cfg.seeds:
@@ -415,9 +424,7 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
         "results": results,
         "files": {name: file_sha256(out / name) for name in files},
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "manifest.json", manifest)
     return out
 
 
@@ -435,8 +442,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: str | Path, out_dir: str | Path | None 
         if not 0 <= idx < len(groups["test"]):
             raise ConfigError(f"trace window {idx} out of range "
                               f"(test split has {len(groups['test'])} windows)")
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(cfg, out_dir)
     test_report = evaluate(pipeline, groups["test"], stats, batch_size=cfg.train.batch_size)
     val_report = evaluate(pipeline, groups["val"], stats, batch_size=cfg.train.batch_size)
     payload = test_report.to_dict()
@@ -444,8 +450,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: str | Path, out_dir: str | Path | None 
     payload["val_mae"] = val_report.mae
     payload["checkpoint"] = str(checkpoint)
     metrics_path = out / "metrics.json"
-    metrics_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+    _write_json(metrics_path, payload)
     for idx in trace_windows:
         trace = dump_forecast_trace(pipeline, groups["test"][idx], stats)
         trace.write_csv(out / f"trace_{idx}.csv")
@@ -502,8 +507,7 @@ def run_roster(cfg: RunConfig, variants, out: Path) -> list[dict]:
 def cmd_ablate(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     cfg.validate()
     prepare_windows(cfg)  # an unreadable dataset fails here, before any file is written
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(cfg, out_dir)
     save_config(cfg, out / "config.json")
     results = run_roster(cfg, VARIANTS, out)
 
@@ -525,11 +529,8 @@ def cmd_ablate(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
         else:
             row["error"] = r["error"]
         table.append(row)
-    (out / "ablation.json").write_text(
-        json.dumps({"anchor_hash": hashes.pop() if hashes else None, "table": table},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "ablation.json",
+                {"anchor_hash": hashes.pop() if hashes else None, "table": table})
     with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write("variant,status,mse_mean,mse_std,mae_mean,mae_std\n")
         for row in table:
@@ -556,13 +557,16 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--seed", type=int, action="append", default=None,
                    help="training seed (repeatable)")
-    p.add_argument("--preset", type=str, default=None,
-                   choices=sorted(["synthetic-1", "synthetic-2", "synthetic-3"]))
+    p.add_argument("--preset", type=str, default=None, choices=sorted(SYNTHETIC_PRESETS))
     p.add_argument("--variant", type=str, default=None, choices=VARIANTS)
-    p.add_argument("--backbone", type=str, default=None,
-                   choices=["linear", "mlp", "nbeats_lite"])
+    p.add_argument("--backbone", type=str, default=None, choices=KINDS)
     p.add_argument("--lookback", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
+
+
+# flag -> the config section whose key of the same name it overrides
+_FLAG_SECTIONS = {"preset": "dataset", "variant": "model", "backbone": "model",
+                  "lookback": "model", "horizon": "model"}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -571,16 +575,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.out_dir = args.out
     if args.seed:
         cfg.seeds = list(args.seed)
-    if args.preset is not None:
-        cfg.dataset.preset = args.preset
-    if args.variant is not None:
-        cfg.model.variant = args.variant
-    if args.backbone is not None:
-        cfg.model.backbone = args.backbone
-    if args.lookback is not None:
-        cfg.model.lookback = args.lookback
-    if args.horizon is not None:
-        cfg.model.horizon = args.horizon
+    for flag, section in _FLAG_SECTIONS.items():
+        if getattr(args, flag) is not None:
+            setattr(getattr(cfg, section), flag, getattr(args, flag))
     return cfg
 
 

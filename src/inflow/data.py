@@ -98,16 +98,6 @@ class SeriesDataset:
     def num_variates(self) -> int:
         return self.values.shape[1]
 
-    def region_bounds(self, region: str) -> tuple[int, int]:
-        bounds = {
-            "train": (0, self.train_end),
-            "val": (self.train_end, self.val_end),
-            "test": (self.val_end, self.num_steps),
-        }
-        if region not in bounds:
-            raise ConfigError(f"unknown region {region!r}")
-        return bounds[region]
-
 
 @dataclass
 class WindowPair:
@@ -300,8 +290,8 @@ def make_windows(ds: SeriesDataset, lookback: int, horizon: int,
     zscored = ds.zscored
     windows: list[WindowPair] = []
     append = windows.append
-    for region in ("train", "val", "test"):
-        start, stop = ds.region_bounds(region)
+    for region, start, stop in (("train", 0, ds.train_end), ("val", ds.train_end, ds.val_end),
+                                ("test", ds.val_end, ds.num_steps)):
         if stop - start < lookback + horizon:
             raise ConfigError(
                 f"region {region!r} has {stop - start} steps, "

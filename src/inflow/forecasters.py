@@ -30,7 +30,7 @@ class ForecasterConfig:
 
     def __post_init__(self):
         # each message starts with the field it names; RunConfig.validate keys on that
-        if self.kind not in ("linear", "mlp", "nbeats_lite"):
+        if self.kind not in KINDS:
             raise ConfigError(f"kind {self.kind!r} is not a forecaster")
         if self.depth is None:
             self.depth = 4 if self.kind == "nbeats_lite" else 3
@@ -132,8 +132,8 @@ class NBeatsLite:
         return prefixed({f"blocks.{i}": block for i, block in enumerate(self.blocks)})
 
 
-_KINDS = {"linear": LinearForecaster, "mlp": MLPForecaster, "nbeats_lite": NBeatsLite}
+KINDS = {"linear": LinearForecaster, "mlp": MLPForecaster, "nbeats_lite": NBeatsLite}
 
 
 def build_forecaster(cfg: ForecasterConfig, rng: np.random.Generator | None = None):
-    return _KINDS[cfg.kind](cfg, rng=rng)
+    return KINDS[cfg.kind](cfg, rng=rng)

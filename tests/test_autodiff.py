@@ -710,3 +710,43 @@ def test_bilevel_steps_match_steps_without_the_arena(arena, monkeypatch):
     without = digest_after_steps()
     assert ad.ARENA.chunks == []
     assert with_arena == without
+
+
+def test_arena_serves_arrays_from_exactly_arena_min_bytes():
+    for dtype in (np.float64, np.bool_):
+        n = ad.ARENA_MIN_BYTES // np.dtype(dtype).itemsize
+        below, at = ad.empty((n - 1,), dtype), ad.empty((1, n), dtype)
+        assert below.dtype == at.dtype == dtype
+        assert not ad.ARENA.owns(below) and ad.ARENA.owns(at)
+    n = ad.ARENA_MIN_BYTES // 8
+    assert ad._out((n - 1,)) is None and ad.ARENA.owns(ad._out((n,)))
+
+
+@pytest.mark.parametrize("variant", ["inflow", "revin"])
+def test_every_large_output_of_a_step_comes_from_the_arena(monkeypatch, variant):
+    """A bilevel (inflow) or joint (revin) step at B=128, L=H=48, D=5."""
+    from inflow.cli import ModelSection, build_pipeline
+    from inflow.training import BiLevelState, Batch, TrainConfig, _update_step, bilevel_step
+
+    pipe = build_pipeline(ModelSection(variant=variant, flow_hidden=16, lookback=48,
+                                       horizon=48, hidden_width=128, depth=2),
+                          num_variates=5, seed=0)
+    state = BiLevelState.for_pipeline(pipe, TrainConfig())
+    rng = np.random.default_rng(0)
+    inner, outer = (Batch(Tensor(rng.normal(size=(128, 48, 5))),
+                          Tensor(rng.normal(size=(128, 48, 5))), list(range(128)), split)
+                    for split in ("inner_train", "outer_val"))
+    large = []
+    backward = ad.Tape.backward
+
+    def backward_after_a_look(tape, loss):
+        large.extend((node.op, ad.ARENA.owns(node.output.data)) for node in tape.nodes
+                     if node.output.data.nbytes >= ad.ARENA_MIN_BYTES)
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", backward_after_a_look)
+    if variant == "inflow":
+        bilevel_step(state, pipe, inner, outer)
+    else:
+        _update_step(state, pipe, inner, (state.theta_opt, state.phi_opt), "joint", 5.0)
+    assert large and all(owned for _, owned in large), large

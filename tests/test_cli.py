@@ -273,6 +273,24 @@ def test_bad_checkpoint_is_config_error_naming_path(tmp_path, damage):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "ablate"])
+def test_uncreatable_out_dir_exits_2_naming_it(tmp_path, capsys, command):
+    # an existing file as the directory, or as a parent of it
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if command == "eval" else taken
+    cfg = tiny_config(out)
+    save_config(cfg, tmp_path / "cfg.json")
+    flags = []
+    if command == "eval":
+        state = build_pipeline(cfg.model, num_variates=3, seed=0).state_tensors()
+        save_checkpoint(tmp_path / "ckpt.bin", {k: t.data for k, t in state.items()})
+        flags = ["--checkpoint", str(tmp_path / "ckpt.bin")]
+    assert main([command, "--config", str(tmp_path / "cfg.json"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+
+
 class TestSynth:
     def test_same_seed_identical_bytes(self, tmp_path):
         cfg_a = tiny_config(tmp_path / "a")
