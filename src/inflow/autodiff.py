@@ -8,19 +8,16 @@ by walking the recorded nodes once, in reverse order.
 Broadcasting follows numpy's trailing-dimension rule but is restricted to
 rank <= 3 so every gradient rule stays auditable by hand.
 
-Large arrays, among them the outputs and gradients of the ops the package
-runs, come from one arena this module owns (see `Arena`). Only the
-destination memory of each numpy call depends on it, so every result is the
-same bit for bit.
+On glibc, freed arrays below 32 MiB stay in the C heap (see
+`_hold_freed_memory`), so that a training step reuses pages an earlier step
+has already faulted in. Only where arrays live depends on it, never a result.
 """
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import itertools
-import math
-import weakref
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,176 +32,40 @@ _ACTIVE_TAPE: Optional["Tape"] = None
 
 _MAX_RANK = 3
 
-# Arrays of at least this many bytes come from the arena, smaller ones from numpy.
-ARENA_MIN_BYTES = 128 * 1024
-# The arena grows by chunks of this many bytes, or of one array's size if that
-# is larger, up to ARENA_MAX_BYTES in all; past that, arrays come from numpy.
-ARENA_CHUNK_BYTES = 32 * 2**20
-ARENA_MAX_BYTES = 2**30
-# Every range starts at an absolute address that is a multiple of this.
-_ALIGN = 64
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Blocks below this size come from the heap instead of their own mapping; it is
+# glibc's largest mmap threshold on 64-bit, and setting it also stops glibc
+# from moving the threshold as blocks are freed.
+MMAP_THRESHOLD_BYTES = 32 * 2**20
+# Free memory at the top of the heap goes back to the OS only past this size.
+TRIM_THRESHOLD_BYTES = 2**30
 
 
-class Arena:
-    """Memory for large arrays that is never handed back to the OS.
+def _hold_freed_memory(libc) -> bool:
+    """Set libc's malloc to keep freed blocks below MMAP_THRESHOLD_BYTES, and
+    up to TRIM_THRESHOLD_BYTES of free heap top, for the process's life.
 
-    Each chunk is one numpy byte array, kept for the process's lifetime; its
-    free ranges are kept sorted, and `empty` takes the first that fits. The
-    array it returns views a ctypes owner of its range; every view of the
-    array keeps the owner alive, and when the owner dies its range goes back,
-    merged with its free neighbours. No array thus shares memory with a live
-    one, and a step reuses memory it has already faulted in, whatever glibc
-    trims. Like the tape, it is meant for one thread.
+    Each step frees and allocates the same multi-MB temporaries; by default
+    glibc maps and unmaps them, or trims the heap top, and the next step
+    faults every page in again. Returns whether libc took both settings; a
+    libc without `mallopt` (not glibc) is left as it is.
     """
-
-    def __init__(self):
-        self.chunks: list[np.ndarray] = []
-        self.sizes: list[int] = []         # per chunk, the bytes it serves
-        self._origin: list[int] = []       # per chunk, its first aligned byte
-        # per chunk, the free ranges [starts[i], stops[i]) in address order
-        self._starts: list[list[int]] = []
-        self._stops: list[list[int]] = []
-        self._leases: dict[int, tuple] = {}
-        self._returned: list[tuple[int, int, int]] = []
-        self._busy = False
-
-    @property
-    def capacity(self) -> int:
-        """Bytes held from the OS, used or free."""
-        return sum(self.sizes)
-
-    def free_ranges(self) -> list[list[tuple[int, int]]]:
-        """Per chunk, the free (start, stop) byte ranges."""
-        return [list(zip(s, e)) for s, e in zip(self._starts, self._stops)]
-
-    def owns(self, arr: np.ndarray) -> bool:
-        """Whether `arr` views memory of this arena."""
-        return any(np.shares_memory(arr, c) for c in self.chunks)
-
-    def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """An uninitialized C-contiguous array; numpy's if the arena is full."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        size = max(_ALIGN, -(-nbytes // _ALIGN) * _ALIGN)
-        self._busy = True
-        try:
-            self._settle()
-            where = self._take(size)
-            if where is None:
-                return np.empty(shape, dtype)
-            chunk, start = where
-            owner = (ctypes.c_char * size).from_buffer(self.chunks[chunk],
-                                                       self._origin[chunk] + start)
-            ref = weakref.ref(owner, self._on_release)
-            self._leases[id(ref)] = (ref, chunk, start, size)
-            return np.ndarray(shape, dtype, owner)
-        finally:
-            self._settle()
-            self._busy = False
-
-    def _take(self, size: int) -> Optional[tuple[int, int]]:
-        for chunk, (starts, stops) in enumerate(zip(self._starts, self._stops)):
-            for i, (lo, hi) in enumerate(zip(starts, stops)):
-                if hi - lo >= size:
-                    if hi - lo == size:
-                        del starts[i], stops[i]
-                    else:
-                        starts[i] = lo + size
-                    return chunk, lo
-        grow = max(ARENA_CHUNK_BYTES, size)
-        if self.capacity + grow > ARENA_MAX_BYTES:
-            return None
-        try:
-            raw = np.empty(grow + _ALIGN, np.uint8)
-        except MemoryError:
-            return None
-        self.chunks.append(raw)
-        self._origin.append(-raw.ctypes.data % _ALIGN)
-        self.sizes.append(grow)
-        self._starts.append([size] if size < grow else [])
-        self._stops.append([grow] if size < grow else [])
-        return len(self.chunks) - 1, 0
-
-    def _on_release(self, ref) -> None:
-        # may run inside `empty`, from a collection its allocations set off;
-        # the range then goes back when `empty` is done with the free lists
-        _, chunk, start, size = self._leases.pop(id(ref))
-        self._returned.append((chunk, start, size))
-        if not self._busy:
-            self._busy = True
-            try:
-                self._settle()
-            finally:
-                self._busy = False
-
-    def _settle(self) -> None:
-        while self._returned:
-            chunk, lo, size = self._returned.pop()
-            starts, stops = self._starts[chunk], self._stops[chunk]
-            hi = lo + size
-            i = bisect.bisect(starts, lo)
-            joins_prev = i > 0 and stops[i - 1] == lo
-            joins_next = i < len(starts) and starts[i] == hi
-            if joins_prev and joins_next:
-                stops[i - 1] = stops[i]
-                del starts[i], stops[i]
-            elif joins_prev:
-                stops[i - 1] = hi
-            elif joins_next:
-                starts[i] = lo
-            else:
-                starts.insert(i, lo)
-                stops.insert(i, hi)
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1)
 
 
-ARENA = Arena()
-
-
-# itemsizes of the dtypes the ops allocate, read faster than through np.dtype
-_ITEMSIZE = {np.float64: 8, np.bool_: 1}
-
-
-def _out(shape: tuple, dtype=np.float64) -> Optional[np.ndarray]:
-    """A destination for a numpy call: an arena array if it takes
-    ARENA_MIN_BYTES or more, else None, so that numpy allocates as it would
-    without `out`."""
-    itemsize = _ITEMSIZE.get(dtype) or np.dtype(dtype).itemsize
-    if math.prod(shape) * itemsize >= ARENA_MIN_BYTES:
-        return ARENA.empty(shape, dtype)
-    return None
-
-
-def empty(shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialized array: from the arena if it takes ARENA_MIN_BYTES or more."""
-    dst = _out(shape, dtype)
-    return np.empty(shape, dtype) if dst is None else dst
-
-
-def _copy(src: np.ndarray) -> np.ndarray:
-    """src itself if C-contiguous, else a C-contiguous copy of it."""
-    if src.flags.c_contiguous:
-        return src
-    dst = _out(src.shape)
-    if dst is None:
-        return np.ascontiguousarray(src)
-    np.copyto(dst, src)
-    return dst
-
-
-def _filled(src, shape: tuple) -> np.ndarray:
-    """A new array of `shape` holding src broadcast to it."""
-    dst = empty(shape)
-    np.copyto(dst, src)
-    return dst
-
-
-def stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """np.stack of equally shaped arrays along a new first axis, into `empty`."""
-    return np.stack(arrays, out=empty((len(arrays),) + np.shape(arrays[0])))
+_hold_freed_memory(ctypes.CDLL(None) if os.name == "posix" else None)
 
 
 def _check_finite(data: np.ndarray, context: str) -> None:
-    if not np.isfinite(data, out=_out(data.shape, np.bool_)).all():
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by {context}")
 
 
@@ -335,7 +196,7 @@ class Tape:
                 if acc is None:
                     grads[inp.uid] = g_in
                 else:
-                    grads[inp.uid] = np.add(acc, g_in, out=_out(acc.shape))
+                    grads[inp.uid] = acc + g_in
         self.gradients = grads
         return grads
 
@@ -412,9 +273,9 @@ def _binary(op: str, a, b, forward, grad_a, grad_b, context: Optional[str] = Non
     is summed back to the input's shape. `context`, if given, names the op in
     the finite check."""
     a, b = _as_tensor(a), _as_tensor(b)
-    shape = _broadcast_shape(a.shape, b.shape, op)
+    _broadcast_shape(a.shape, b.shape, op)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        data = forward(a.data, b.data, out=_out(shape))
+        data = forward(a.data, b.data)
     _check_finite(data, context or op)
 
     def grad_fn(g):
@@ -432,37 +293,29 @@ def _unary(op: str, a: Tensor, data: np.ndarray, backward) -> Tensor:
                    lambda g: (backward(g) if a.requires_grad else None,))
 
 
-def _times(g: np.ndarray, y) -> np.ndarray:
-    return np.multiply(g, y, out=_out(g.shape))
-
-
-def _negated(g: np.ndarray) -> np.ndarray:
-    return np.negative(g, out=_out(g.shape))
-
-
 def add(a, b) -> Tensor:
     return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: _negated(g))
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: np.negative(g))
 
 
 def mul(a, b) -> Tensor:
     return _binary("mul", a, b, np.multiply,
-                   lambda g, x, y: _times(g, y), lambda g, x, y: _times(g, x))
+                   lambda g, x, y: np.multiply(g, y), lambda g, x, y: np.multiply(g, x))
 
 
 def _div_grad_b(g: np.ndarray, x, y) -> np.ndarray:
     # -g * x / (y * y), in that order
-    out = _negated(g)
+    out = np.negative(g)
     np.multiply(out, x, out=out)
-    return np.divide(out, np.multiply(y, y, out=_out(y.shape)), out=out)
+    return np.divide(out, np.multiply(y, y), out=out)
 
 
 def div(a, b) -> Tensor:
     return _binary("div", a, b, np.divide,
-                   lambda g, x, y: np.divide(g, y, out=_out(g.shape)), _div_grad_b,
+                   lambda g, x, y: np.divide(g, y), _div_grad_b,
                    "div (zero or overflowing denominator)")
 
 
@@ -474,9 +327,9 @@ def neg(a) -> Tensor:
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
-        data = np.exp(a.data, out=_out(a.shape))
+        data = np.exp(a.data)
     _check_finite(data, "exp (overflow)")
-    return _unary("exp", a, data, lambda g: _times(g, data))
+    return _unary("exp", a, data, lambda g: np.multiply(g, data))
 
 
 def tanh(a) -> Tensor:
@@ -557,7 +410,7 @@ def _activation_grad(g: np.ndarray, out: np.ndarray, activation: Optional[str],
         np.subtract(1.0, d, out=d)
         return np.multiply(g, d, out=d)
     if activation == "relu":
-        return np.multiply(g, np.greater(out, 0.0, out=_out(out.shape, np.bool_)), out=dst)
+        return np.multiply(g, out > 0.0, out=dst)
     if dst is None:
         return g
     np.copyto(dst, g)
@@ -622,7 +475,7 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
     most = max(hi - lo for lo, hi in blocks)
     # hidden[i] is layer i's output. It is kept over all rows when taped, and
     # for the last hidden layer; otherwise each block reuses one buffer.
-    hidden = [empty((rows if taped or i == n_hidden - 1 else most, w.shape[1]))
+    hidden = [np.empty((rows if taped or i == n_hidden - 1 else most, w.shape[1]))
               for i, (w, _) in enumerate(layers[:-1])]
     w_last, b_last = layers[-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -637,8 +490,7 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
                 _check_finite(dst, f"mlp layer {i}")
                 _activate(dst, activations[i])
                 h = dst
-        data = np.matmul(hidden[-1] if hidden else x2, w_last.data,
-                         out=_out((rows, w_last.shape[1])))
+        data = (hidden[-1] if hidden else x2) @ w_last.data
         data += b_last.data
     _check_finite(data, f"mlp layer {n_hidden}")
     _activate(data, activations[-1])
@@ -650,13 +502,11 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
         # when x needs one; else per block
         keep = [w.requires_grad or b.requires_grad for w, b in layers]
         keep[0] = keep[0] or x.requires_grad
-        g_pre = [empty(h.shape) if k else None for h, k in zip(hidden, keep)]
-        g_last = g.reshape(-1, w_last.shape[1])
-        g_pre.append(_activation_grad(g_last, data, activations[-1],
-                                      None if activations[-1] is None else _out(data.shape)))
+        g_pre = [np.empty(h.shape) if k else None for h, k in zip(hidden, keep)]
+        g_pre.append(_activation_grad(g.reshape(-1, w_last.shape[1]), data, activations[-1]))
         if any(p is not None for p in g_pre[:-1]):
-            g_h = [empty((most, h.shape[1])) for h in hidden]
-            pre = [p if p is not None else empty((most, h.shape[1]))
+            g_h = [np.empty((most, h.shape[1])) for h in hidden]
+            pre = [p if p is not None else np.empty((most, h.shape[1]))
                    for p, h in zip(g_pre, hidden)]
             for lo, hi in blocks:
                 g_blk = g_pre[-1][lo:hi]
@@ -665,8 +515,7 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
                     np.matmul(g_blk, layers[i + 1][0].data.T, out=g_out)
                     dst = pre[i][lo:hi] if len(pre[i]) == rows else pre[i][:hi - lo]
                     g_blk = _activation_grad(g_out, hidden[i][lo:hi], activations[i], dst)
-        grads = [np.matmul(g_pre[0], layers[0][0].data.T, out=_out(x2.shape)).reshape(x.shape)
-                 if x.requires_grad else None]
+        grads = [(g_pre[0] @ layers[0][0].data.T).reshape(x.shape) if x.requires_grad else None]
         for layer_in, gp, (w, b) in zip([x2] + hidden, g_pre, layers):
             grads.append(layer_in.T @ gp if w.requires_grad else None)
             grads.append(_unbroadcast(gp.reshape(lead + (w.shape[1],)), b.shape)
@@ -688,7 +537,7 @@ def _reduce_axis(op: str, a, axis: int, keepdims: bool, rule) -> Tensor:
 def mean_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     def rule(x, axis):
         n = x.shape[axis]
-        return (x.mean(axis=axis, keepdims=keepdims), lambda g: _filled(g / n, x.shape))
+        return (x.mean(axis=axis, keepdims=keepdims), lambda g: np.full(x.shape, g / n))
 
     return _reduce_axis("mean_axis", a, axis, keepdims, rule)
 
@@ -713,16 +562,13 @@ def var_axis(a, axis: int, keepdims: bool = False, mean=None) -> Tensor:
             mu = mu.reshape(kept)
         # d var / d x_i = 2 (x_i - mu) / N; the mu terms cancel exactly, so a
         # given mean needs no gradient of its own
-        def centred():
-            return np.subtract(x, mu, out=_out(x.shape))
-
         def backward(g):
             # g * (2 / N) * (x - mu)
-            d = centred()
+            d = x - mu
             return np.multiply(g * (2.0 / n), d, out=d)
 
         # x ** 2 of an array is numpy's square
-        d = centred()
+        d = x - mu
         np.square(d, out=d)
         return d.mean(axis=axis, keepdims=keepdims), backward
 
@@ -733,11 +579,9 @@ def _sum_to(x: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a [batch, length, variates] array down to (variates,) or
     (batch, 1, variates) as one matrix product: BLAS beats numpy's axis sum
     over rows this narrow."""
-    ones = empty((x.shape[0] * x.shape[1],) if len(shape) == 1 else (x.shape[1],))
-    ones.fill(1.0)
     if len(shape) == 1:
-        return ones @ x.reshape(-1, x.shape[2])
-    return np.matmul(ones, x).reshape(shape)
+        return np.ones(x.shape[0] * x.shape[1]) @ x.reshape(-1, x.shape[2])
+    return np.matmul(np.ones(x.shape[1]), x).reshape(shape)
 
 
 def affine_norm(h, mu, var, log_scale, shift, eps: float, inverse: bool = False) -> Tensor:
@@ -768,7 +612,7 @@ def affine_norm(h, mu, var, log_scale, shift, eps: float, inverse: bool = False)
         else:
             center, offset = mu, shift
             k1, k2 = np.power(var_eps, -0.5), np.exp(log_scale.data)
-        data = np.subtract(h.data, center.data, out=_out(h.shape))
+        data = h.data - center.data
         data *= k1
         data *= k2
         data += offset.data
@@ -778,12 +622,12 @@ def affine_norm(h, mu, var, log_scale, shift, eps: float, inverse: bool = False)
     sign = -1.0 if inverse else 1.0
 
     def grad_fn(g):
-        g_h = np.multiply(g, k1 * k2, out=_out(g.shape))
+        g_h = g * (k1 * k2)
         g_center = -_sum_to(g_h, center.shape) if center.requires_grad else None
         g_offset = _sum_to(g, offset.shape) if offset.requires_grad else None
         g_ls = g_var = None
         if log_scale.requires_grad or var.requires_grad:
-            p = np.subtract(h.data, center.data, out=_out(h.shape))
+            p = h.data - center.data
             p *= g_h
             if log_scale.requires_grad:
                 g_ls = sign * _sum_to(p, log_scale.shape)
@@ -797,13 +641,13 @@ def affine_norm(h, mu, var, log_scale, shift, eps: float, inverse: bool = False)
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
-    return _unary("sum_all", a, np.asarray(a.data.sum()), lambda g: _filled(g, a.shape))
+    return _unary("sum_all", a, np.asarray(a.data.sum()), lambda g: np.full(a.shape, g))
 
 
 def mean_all(a) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size
-    return _unary("mean_all", a, np.asarray(a.data.mean()), lambda g: _filled(g / n, a.shape))
+    return _unary("mean_all", a, np.asarray(a.data.mean()), lambda g: np.full(a.shape, g / n))
 
 
 # ---------------------------------------------------------------------------
@@ -819,12 +663,12 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
             f"slice_axis: bounds [{start}, {stop}) invalid for axis {axis} of size {size}"
         )
     index = tuple(slice(None) if i != axis else slice(start, stop) for i in range(a.ndim))
-    out = _make(_copy(a.data[index]))
+    out = _make(np.ascontiguousarray(a.data[index]))
 
     def grad_fn(g):
         if not a.requires_grad:
             return (None,)
-        full = _filled(0.0, a.shape)
+        full = np.zeros(a.shape)
         full[index] = g
         return (full,)
 
@@ -840,8 +684,7 @@ def concat(tensors: Sequence, axis: int) -> Tensor:
         if t.ndim != ts[0].ndim:
             raise DimensionError(f"concat: mixed ranks {ts[0].shape} and {t.shape}")
     sizes = [t.shape[axis] for t in ts]
-    shape = ts[0].shape[:axis] + (sum(sizes),) + ts[0].shape[axis + 1:]
-    out = _make(np.concatenate([t.data for t in ts], axis=axis, out=_out(shape)))
+    out = _make(np.concatenate([t.data for t in ts], axis=axis))
     offsets = np.cumsum([0] + sizes)
 
     def grad_fn(g):
@@ -851,7 +694,7 @@ def concat(tensors: Sequence, axis: int) -> Tensor:
                 index = tuple(
                     slice(None) if i != axis else slice(lo, hi) for i in range(t.ndim)
                 )
-                pieces.append(_copy(g[index]))
+                pieces.append(np.ascontiguousarray(g[index]))
             else:
                 pieces.append(None)
         return pieces
@@ -874,15 +717,15 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if _broadcast_shape(a.shape, shape, "broadcast_to") != shape:
         raise DimensionError(f"broadcast_to: {a.shape} does not expand to {shape}")
-    return _unary("broadcast_to", a, _filled(a.data, shape), lambda g: _unbroadcast(g, a.shape))
+    return _unary("broadcast_to", a, np.full(shape, a.data), lambda g: _unbroadcast(g, a.shape))
 
 
 def flip_axis(a, axis: int) -> Tensor:
     """Reverse element order along one axis; self-inverse."""
     a = _as_tensor(a)
     axis = _normalize_axis(axis, a.ndim, "flip_axis")
-    return _unary("flip_axis", a, _copy(np.flip(a.data, axis=axis)),
-                  lambda g: _copy(np.flip(g, axis=axis)))
+    return _unary("flip_axis", a, np.ascontiguousarray(np.flip(a.data, axis=axis)),
+                  lambda g: np.ascontiguousarray(np.flip(g, axis=axis)))
 
 
 def swap_last_axes(a) -> Tensor:
@@ -890,8 +733,8 @@ def swap_last_axes(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim not in (2, 3):
         raise DimensionError(f"swap_last_axes: rank {a.ndim} unsupported")
-    return _unary("swap_last_axes", a, _copy(np.swapaxes(a.data, -1, -2)),
-                  lambda g: _copy(np.swapaxes(g, -1, -2)))
+    return _unary("swap_last_axes", a, np.ascontiguousarray(np.swapaxes(a.data, -1, -2)),
+                  lambda g: np.ascontiguousarray(np.swapaxes(g, -1, -2)))
 
 
 # ---------------------------------------------------------------------------

@@ -388,22 +388,23 @@ def _train_config(cfg: RunConfig, seed: int) -> TrainConfig:
 
 
 def _train_one_seed(cfg: RunConfig, windows, stats, seed: int, num_variates: int,
-                    out: Path) -> dict:
+                    out: Path) -> tuple[dict, list[str]]:
+    """Train one seed into `out`: its manifest record, and the names of the files written."""
     pipeline = build_pipeline(cfg.model, num_variates, seed)
     pipeline, report = train(pipeline, windows, _train_config(cfg, seed), zscore_stats=stats)
-    ckpt_path = out / f"checkpoint_seed{seed}.bin"
-    save_checkpoint(ckpt_path, {k: t.data for k, t in pipeline.state_tensors().items()})
-    (out / f"report_seed{seed}.json").write_text(report.to_json(), encoding="utf-8")
-    report.write_loss_csv(out / f"loss_seed{seed}.csv")
+    names = [f"checkpoint_seed{seed}.bin", f"report_seed{seed}.json", f"loss_seed{seed}.csv"]
+    save_checkpoint(out / names[0], {k: t.data for k, t in pipeline.state_tensors().items()})
+    (out / names[1]).write_text(report.to_json(), encoding="utf-8")
+    report.write_loss_csv(out / names[2])
     test_report = evaluate(pipeline, split_windows(windows)["test"], stats,
                            batch_size=cfg.train.batch_size)
     return {
         "seed": seed,
-        "checkpoint": ckpt_path.name,
+        "checkpoint": names[0],
         "best_val_loss": report.best_val_loss,
         "test_mse": test_report.mse,
         "test_mae": test_report.mae,
-    }
+    }, names
 
 
 def cmd_train(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
@@ -411,18 +412,20 @@ def cmd_train(cfg: RunConfig, out_dir: str | Path | None = None) -> Path:
     ds, windows, stats = prepare_windows(cfg)
     out = _run_dir(cfg, out_dir)
     save_config(cfg, out / "config.json")
-    results = []
+    results, written = [], ["config.json"]
     for seed in cfg.seeds:
-        results.append(_train_one_seed(cfg, windows, stats, seed, ds.num_variates, out))
-        print(f"seed {seed}: best_val={results[-1]['best_val_loss']:.6g} "
-              f"test_mse={results[-1]['test_mse']:.6g}")
-    files = sorted(p.name for p in out.iterdir() if p.is_file() and p.name != "manifest.json")
+        result, names = _train_one_seed(cfg, windows, stats, seed, ds.num_variates, out)
+        results.append(result)
+        written += names
+        print(f"seed {seed}: best_val={result['best_val_loss']:.6g} "
+              f"test_mse={result['test_mse']:.6g}")
+    # only this run's files: a reused directory may hold other seeds' artifacts
     manifest = {
         "config_hash": cfg.hash(),
         "anchor_hash": anchor_hash(windows),
         "seeds": cfg.seeds,
         "results": results,
-        "files": {name: file_sha256(out / name) for name in files},
+        "files": {name: file_sha256(out / name) for name in sorted(written)},
     }
     _write_json(out / "manifest.json", manifest)
     return out

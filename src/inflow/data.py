@@ -330,10 +330,8 @@ class ZScoreStats:
     def apply(self, arr: np.ndarray) -> np.ndarray:
         return (arr - self.mean) / self.std
 
-    def inverse(self, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.multiply(arr, self.std, out=out)
-        out += self.mean
-        return out
+    def inverse(self, arr: np.ndarray) -> np.ndarray:
+        return arr * self.std + self.mean
 
 
 def zscore_fit_apply(ds: SeriesDataset) -> tuple[SeriesDataset, ZScoreStats]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, empty, stack
+from .autodiff import Tensor
 from .data import WindowPair, ZScoreStats
 from .errors import ContractError
 from .pipeline import ForecastPipeline
@@ -49,12 +49,12 @@ def _check_stats(windows: list[WindowPair], stats: ZScoreStats | None) -> None:
 
 def _predict_batch(pipeline: ForecastPipeline, windows: list[WindowPair],
                    stats: ZScoreStats | None) -> tuple[np.ndarray, np.ndarray]:
-    x = Tensor(stack([w.x for w in windows]))
+    x = Tensor(np.stack([w.x for w in windows]))
     y_hat = pipeline.predict(x).numpy()
-    y = stack([w.y for w in windows])
+    y = np.stack([w.y for w in windows])
     if stats is not None:
-        y_hat = stats.inverse(y_hat, out=empty(y_hat.shape))
-        y = stats.inverse(y, out=y)
+        y_hat = stats.inverse(y_hat)
+        y = stats.inverse(y)
     return y_hat, y
 
 
@@ -77,11 +77,9 @@ def evaluate(pipeline: ForecastPipeline, windows: list[WindowPair],
     for lo in range(0, len(windows), batch_size):
         chunk = windows[lo:lo + batch_size]
         y_hat, y = _predict_batch(pipeline, chunk, zscore_stats)
-        # y is this function's own; y_hat may be an array the pipeline keeps
-        diff = np.subtract(y_hat, y, out=y)
-        sq = np.multiply(diff, diff, out=empty(diff.shape))
-        sq_sum += float(np.sum(sq))
-        abs_sum += float(np.sum(np.abs(diff, out=sq)))
+        diff = y_hat - y
+        sq_sum += float(np.sum(diff * diff))
+        abs_sum += float(np.sum(np.abs(diff)))
         count += diff.size
     return MetricReport(mse=sq_sum / count, mae=abs_sum / count, num_windows=len(windows))
 

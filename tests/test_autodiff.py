@@ -1,4 +1,11 @@
+import ctypes
+import mmap
+import os
+import subprocess
+import sys
+import types
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -598,51 +605,52 @@ def test_affine_norm_overflow_raises_numeric_error(inverse):
 
 
 # ---------------------------------------------------------------------------
-# the arena
+# the heap policy
 
 
-@pytest.fixture
-def arena(monkeypatch):
-    """A fresh arena of 1 MiB chunks that serves every array of 4 KiB or more."""
-    fresh = ad.Arena()
-    monkeypatch.setattr(ad, "ARENA", fresh)
-    monkeypatch.setattr(ad, "ARENA_MIN_BYTES", 4096)
-    monkeypatch.setattr(ad, "ARENA_CHUNK_BYTES", 2**20)
-    return fresh
+# Run in a fresh process: glibc's default mmap threshold rises with each large
+# block freed, so how often it faults in this one depends on the tests before.
+_REUSE_PROBE = """
+import resource
+import numpy as np
+import inflow.autodiff
+
+n = 2**20  # an 8 MiB array
+np.ones(n)  # freed at once
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+again = np.ones(n)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
-def _all_free(arena):
-    return arena.free_ranges() == [[(0, size)] for size in arena.sizes]
+@pytest.mark.skipif(os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="libc has no mallopt")
+def test_freed_memory_is_reused_without_page_faults():
+    src = str(Path(ad.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _REUSE_PROBE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    pages = 8 * 2**20 // mmap.PAGESIZE
+    faults = int(proc.stdout)
+    assert faults < 0.05 * pages, f"{faults} minor faults of {pages} pages"
 
 
-def test_arena_range_is_not_reused_while_a_view_lives(arena):
-    a = ad.empty((32, 32))
-    assert arena.owns(a) and a.ctypes.data % 64 == 0
-    first, view = a.ctypes.data, a.T[3:]
-    del a
-    b = ad.empty((32, 32))
-    assert b.ctypes.data != first and not np.shares_memory(b, view)
-    del view
-    c = ad.empty((32, 32))
-    assert c.ctypes.data == first
+def test_heap_policy_leaves_a_libc_without_mallopt_alone():
+    libc = types.SimpleNamespace()
+    assert ad._hold_freed_memory(libc) is False
+    assert vars(libc) == {}
 
 
-def test_arena_merges_freed_neighbours(arena):
-    a, b, c = (ad.empty((1024,)) for _ in range(3))
-    assert not arena.owns(np.empty(1024))
-    del a, c
-    assert arena.free_ranges() == [[(0, 8192), (16384, 2**20)]]
-    del b
-    assert arena.free_ranges() == [[(0, 2**20)]]
+@pytest.mark.parametrize("status", [1, 0])
+def test_heap_policy_sets_both_thresholds_or_reports_refusal(status):
+    calls = []
 
+    def mallopt(param, value):
+        calls.append((param, value))
+        return status
 
-def test_full_arena_falls_back_to_numpy(arena, monkeypatch):
-    monkeypatch.setattr(ad, "ARENA_MAX_BYTES", 2**20)
-    held = ad.empty((100_000,))
-    spill = ad.empty((100_000,))
-    assert arena.owns(held) and not arena.owns(spill) and arena.capacity == 2**20
-    x = np.linspace(-1.0, 1.0, 100_000)
-    np.testing.assert_array_equal(ad.exp(Tensor(x)).numpy(), np.exp(x))
+    assert ad._hold_freed_memory(types.SimpleNamespace(mallopt=mallopt)) is bool(status)
+    both = [(-3, ad.MMAP_THRESHOLD_BYTES), (-1, ad.TRIM_THRESHOLD_BYTES)]
+    assert calls == (both if status else both[:1])
 
 
 def _flow_setup(seed=0):
@@ -667,86 +675,15 @@ def _flow_setup(seed=0):
             stack_windows(groups["outer_val"]), groups, stats)
 
 
-def test_every_range_is_free_after_a_bilevel_step(arena):
-    from inflow.training import bilevel_step
-
-    pipe, state, inner, outer, _, _ = _flow_setup()
-    assert arena.owns(inner.x.data)
-    bilevel_step(state, pipe, inner, outer)
-    assert len(arena.chunks) > 0
-    del inner, outer
-    assert _all_free(arena)
-
-
-def test_prediction_is_unchanged_by_later_steps_and_evaluations(arena):
+def test_prediction_is_unchanged_by_later_steps_and_evaluations():
     from inflow.evaluation import evaluate
     from inflow.training import bilevel_step
 
     pipe, state, inner, outer, groups, stats = _flow_setup()
     pipe.eval_mode()
     y = pipe.predict(Tensor(inner.x.data)).numpy()
-    assert arena.owns(y)
     kept = y.copy()
     for _ in range(2):
         bilevel_step(state, pipe, inner, outer)
         evaluate(pipe, groups["val"], stats)
     np.testing.assert_array_equal(y, kept)
-
-
-def test_bilevel_steps_match_steps_without_the_arena(arena, monkeypatch):
-    from inflow.training import bilevel_step
-
-    def digest_after_steps():
-        pipe, state, inner, outer, _, _ = _flow_setup(seed=4)
-        for _ in range(3):
-            bilevel_step(state, pipe, inner, outer)
-        params = pipe.parameters()
-        return zlib.crc32(b"".join(params[k].data.tobytes() for k in sorted(params)))
-
-    with_arena = digest_after_steps()
-    assert len(arena.chunks) > 0
-    monkeypatch.setattr(ad, "ARENA", ad.Arena())
-    monkeypatch.setattr(ad, "ARENA_MIN_BYTES", 2**62)
-    without = digest_after_steps()
-    assert ad.ARENA.chunks == []
-    assert with_arena == without
-
-
-def test_arena_serves_arrays_from_exactly_arena_min_bytes():
-    for dtype in (np.float64, np.bool_):
-        n = ad.ARENA_MIN_BYTES // np.dtype(dtype).itemsize
-        below, at = ad.empty((n - 1,), dtype), ad.empty((1, n), dtype)
-        assert below.dtype == at.dtype == dtype
-        assert not ad.ARENA.owns(below) and ad.ARENA.owns(at)
-    n = ad.ARENA_MIN_BYTES // 8
-    assert ad._out((n - 1,)) is None and ad.ARENA.owns(ad._out((n,)))
-
-
-@pytest.mark.parametrize("variant", ["inflow", "revin"])
-def test_every_large_output_of_a_step_comes_from_the_arena(monkeypatch, variant):
-    """A bilevel (inflow) or joint (revin) step at B=128, L=H=48, D=5."""
-    from inflow.cli import ModelSection, build_pipeline
-    from inflow.training import BiLevelState, Batch, TrainConfig, _update_step, bilevel_step
-
-    pipe = build_pipeline(ModelSection(variant=variant, flow_hidden=16, lookback=48,
-                                       horizon=48, hidden_width=128, depth=2),
-                          num_variates=5, seed=0)
-    state = BiLevelState.for_pipeline(pipe, TrainConfig())
-    rng = np.random.default_rng(0)
-    inner, outer = (Batch(Tensor(rng.normal(size=(128, 48, 5))),
-                          Tensor(rng.normal(size=(128, 48, 5))), list(range(128)), split)
-                    for split in ("inner_train", "outer_val"))
-    large = []
-    backward = ad.Tape.backward
-
-    def backward_after_a_look(tape, loss):
-        large.extend((node.op, ad.ARENA.owns(node.output.data)) for node in tape.nodes
-                     if node.output.data.nbytes >= ad.ARENA_MIN_BYTES)
-        return backward(tape, loss)
-
-    monkeypatch.setattr(ad.Tape, "backward", backward_after_a_look)
-    if variant == "inflow":
-        bilevel_step(state, pipe, inner, outer)
-    else:
-        _update_step(state, pipe, inner, (state.theta_opt, state.phi_opt), "joint", 5.0)
-    assert large and all(owned for _, owned in large), large

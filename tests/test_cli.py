@@ -326,6 +326,18 @@ class TestTrainEval:
         assert set(manifest["files"]) >= {"checkpoint_seed1.bin", "report_seed1.json"}
         assert manifest["config_hash"] == cfg.hash()
 
+    def test_manifest_lists_only_this_runs_files(self, tmp_path):
+        cfg = tiny_config(tmp_path / "run", max_epochs=1)
+        cfg.seeds = [0, 1]
+        cmd_train(cfg)
+        cfg.seeds = [0]
+        out = cmd_train(cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (out / "checkpoint_seed1.bin").exists()
+        assert sorted(manifest["files"]) == ["checkpoint_seed0.bin", "config.json",
+                                             "loss_seed0.csv", "report_seed0.json"]
+        assert [r["seed"] for r in manifest["results"]] == [0]
+
     def test_checkpoint_contains_both_parameter_groups(self, tmp_path):
         cfg = tiny_config(tmp_path / "run")
         out = cmd_train(cfg)
