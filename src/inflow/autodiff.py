@@ -153,7 +153,7 @@ class TapeNode:
 
 
 class Tape:
-    """Append-only record of operations, replayed in reverse by backward()."""
+    """Append-only record of operations, replayed in reverse and emptied by backward()."""
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
@@ -185,7 +185,11 @@ class Tape:
         if not any(node.output is loss for node in self.nodes):
             raise ContractError("loss was not produced on this tape")
         grads: dict[int, np.ndarray] = {loss.uid: np.ones((), dtype=np.float64)}
-        for node in reversed(self.nodes):
+        # each node is popped when visited, so the arrays only it holds are
+        # freed while backward still runs; the tape is empty afterwards
+        nodes, self.nodes = self.nodes, []
+        while nodes:
+            node = nodes.pop()
             g_out = grads.pop(node.output.uid, None)
             if g_out is None:
                 continue
@@ -273,7 +277,8 @@ def _binary(op: str, a, b, forward, grad_a, grad_b, context: Optional[str] = Non
     is summed back to the input's shape. `context`, if given, names the op in
     the finite check."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_shape(a.shape, b.shape, op)
+    if a.shape != b.shape:  # equal shapes always broadcast
+        _broadcast_shape(a.shape, b.shape, op)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         data = forward(a.data, b.data)
     _check_finite(data, context or op)
@@ -427,45 +432,35 @@ def _row_blocks(rows: int, block: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:] + [rows]))
 
 
-def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
-    """A stack of act(h @ weight + bias) layers as one tape node.
-
-    `layers` holds (weight, bias) pairs, weight (in, out) and bias (out,), and
-    `activations` one of MLP_ACTIVATIONS or None per layer; x is rank 2 or 3.
-
-    The hidden layers run over row blocks of about MLP_BLOCK_BYTES, so each
-    block passes through every hidden layer while it is still in cache; bias
-    add and activation run in place. Without a tape only the last hidden
-    layer is kept over all rows, and the others reuse one block-sized buffer
-    each. The last layer's GEMM, and in the backward each weight gradient and
-    bias sum, and the input gradient, run once over all rows: OpenBLAS rounds
-    a blocked product with few output columns, or a row sum split into
-    blocks, differently. For the coupling and backbone widths the results are
-    then bit-identical to the chain of matmul, add and activation ops.
-    """
-    x = _as_tensor(x)
+def _mlp_layers(op: str, layers: Sequence, activations: Sequence[Optional[str]],
+                width: int) -> tuple[list, tuple]:
+    """Checked (weight, bias) tensor pairs and activations of an MLP whose
+    input has `width` features."""
     layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
     activations = tuple(activations)
     if not layers or len(activations) != len(layers):
         raise ContractError(
-            f"mlp: {len(layers)} layers need as many activations, got {len(activations)}")
+            f"{op}: {len(layers)} layers need as many activations, got {len(activations)}")
     for act in activations:
         if act is not None and act not in MLP_ACTIVATIONS:
-            raise ContractError(f"mlp: unknown activation {act!r}")
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"mlp: unsupported input rank {x.shape}")
-    width = x.shape[-1]
+            raise ContractError(f"{op}: unknown activation {act!r}")
     for i, (w, b) in enumerate(layers):
         if w.ndim != 2 or w.shape[0] != width:
-            raise DimensionError(f"mlp: layer {i} weight {w.shape} for input width {width}")
+            raise DimensionError(f"{op}: layer {i} weight {w.shape} for input width {width}")
         if b.shape != (w.shape[1],):
-            raise DimensionError(f"mlp: layer {i} bias shape {b.shape} for weight {w.shape}")
+            raise DimensionError(f"{op}: layer {i} bias shape {b.shape} for weight {w.shape}")
         width = w.shape[1]
-    inputs = (x,) + tuple(t for pair in layers for t in pair)
-    taped = _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+    return layers, activations
 
-    lead = x.shape[:-1]
-    x2 = x.data.reshape(-1, x.shape[-1])
+
+def _mlp_forward(x2: np.ndarray, layers: list, activations: tuple, taped: bool):
+    """Run checked layers over the rows of the 2-D x2, as `mlp` describes.
+
+    Returns the output over all rows, the hidden layers' outputs and the row
+    blocks, which `_mlp_backward` takes. A hidden layer's output is kept over
+    all rows when `taped`, and for the last hidden layer; otherwise each block
+    reuses one buffer.
+    """
     rows = x2.shape[0]
     n_hidden = len(layers) - 1
     block = rows
@@ -473,8 +468,6 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
         block = MLP_BLOCK_BYTES // (8 * max(w.shape[1] for w, _ in layers[:-1]))
     blocks = _row_blocks(rows, max(1, block))
     most = max(hi - lo for lo, hi in blocks)
-    # hidden[i] is layer i's output. It is kept over all rows when taped, and
-    # for the last hidden layer; otherwise each block reuses one buffer.
     hidden = [np.empty((rows if taped or i == n_hidden - 1 else most, w.shape[1]))
               for i, (w, _) in enumerate(layers[:-1])]
     w_last, b_last = layers[-1]
@@ -494,35 +487,176 @@ def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
         data += b_last.data
     _check_finite(data, f"mlp layer {n_hidden}")
     _activate(data, activations[-1])
-    out = _make(data.reshape(lead + (w_last.shape[1],)))
+    return data, hidden, blocks
+
+
+def _mlp_backward(g2: np.ndarray, x2: np.ndarray, lead: tuple, layers: list,
+                  activations: tuple, out: np.ndarray, hidden: list, blocks: list,
+                  x_grad: bool) -> list:
+    """Gradients of an `_mlp_forward` run, given its output gradient g2 over
+    rows: x2's (rows, features) gradient if `x_grad`, then each layer's
+    weight and bias gradient if it requires one, else None in each place.
+    `lead` is the input's shape without its last axis."""
+    rows = x2.shape[0]
+    most = max(hi - lo for lo, hi in blocks)
+    # g_pre[i]: gradient of layer i's pre-activation, kept over all rows
+    # for a layer whose weight or bias needs a gradient, and for layer 0
+    # when x needs one; else per block
+    keep = [w.requires_grad or b.requires_grad for w, b in layers]
+    keep[0] = keep[0] or x_grad
+    g_pre = [np.empty(h.shape) if k else None for h, k in zip(hidden, keep)]
+    g_pre.append(_activation_grad(g2, out, activations[-1]))
+    if any(p is not None for p in g_pre[:-1]):
+        g_h = [np.empty((most, h.shape[1])) for h in hidden]
+        pre = [p if p is not None else np.empty((most, h.shape[1]))
+               for p, h in zip(g_pre, hidden)]
+        for lo, hi in blocks:
+            g_blk = g_pre[-1][lo:hi]
+            for i in range(len(hidden) - 1, -1, -1):
+                g_out = g_h[i][:hi - lo]
+                np.matmul(g_blk, layers[i + 1][0].data.T, out=g_out)
+                dst = pre[i][lo:hi] if len(pre[i]) == rows else pre[i][:hi - lo]
+                g_blk = _activation_grad(g_out, hidden[i][lo:hi], activations[i], dst)
+    grads = [g_pre[0] @ layers[0][0].data.T if x_grad else None]
+    for layer_in, gp, (w, b) in zip([x2] + hidden, g_pre, layers):
+        grads.append(layer_in.T @ gp if w.requires_grad else None)
+        grads.append(_unbroadcast(gp.reshape(lead + (w.shape[1],)), b.shape)
+                     if b.requires_grad else None)
+    return grads
+
+
+def mlp(x, layers: Sequence, activations: Sequence[Optional[str]]) -> Tensor:
+    """A stack of act(h @ weight + bias) layers as one tape node.
+
+    `layers` holds (weight, bias) pairs, weight (in, out) and bias (out,), and
+    `activations` one of MLP_ACTIVATIONS or None per layer; x is rank 2 or 3.
+
+    The hidden layers run over row blocks of about MLP_BLOCK_BYTES, so each
+    block passes through every hidden layer while it is still in cache; bias
+    add and activation run in place. Without a tape only the last hidden
+    layer is kept over all rows, and the others reuse one block-sized buffer
+    each. The last layer's GEMM, and in the backward each weight gradient and
+    bias sum, and the input gradient, run once over all rows: OpenBLAS rounds
+    a blocked product with few output columns, or a row sum split into
+    blocks, differently. For the coupling and backbone widths the results are
+    then bit-identical to the chain of matmul, add and activation ops.
+    """
+    x = _as_tensor(x)
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"mlp: unsupported input rank {x.shape}")
+    layers, activations = _mlp_layers("mlp", layers, activations, x.shape[-1])
+    inputs = (x,) + tuple(t for pair in layers for t in pair)
+    taped = _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+    lead = x.shape[:-1]
+    x2 = x.data.reshape(-1, x.shape[-1])
+    data, hidden, blocks = _mlp_forward(x2, layers, activations, taped)
+    out = _make(data.reshape(lead + (data.shape[1],)))
 
     def grad_fn(g):
-        # g_pre[i]: gradient of layer i's pre-activation, kept over all rows
-        # for a layer whose weight or bias needs a gradient, and for layer 0
-        # when x needs one; else per block
-        keep = [w.requires_grad or b.requires_grad for w, b in layers]
-        keep[0] = keep[0] or x.requires_grad
-        g_pre = [np.empty(h.shape) if k else None for h, k in zip(hidden, keep)]
-        g_pre.append(_activation_grad(g.reshape(-1, w_last.shape[1]), data, activations[-1]))
-        if any(p is not None for p in g_pre[:-1]):
-            g_h = [np.empty((most, h.shape[1])) for h in hidden]
-            pre = [p if p is not None else np.empty((most, h.shape[1]))
-                   for p, h in zip(g_pre, hidden)]
-            for lo, hi in blocks:
-                g_blk = g_pre[-1][lo:hi]
-                for i in range(n_hidden - 1, -1, -1):
-                    g_out = g_h[i][:hi - lo]
-                    np.matmul(g_blk, layers[i + 1][0].data.T, out=g_out)
-                    dst = pre[i][lo:hi] if len(pre[i]) == rows else pre[i][:hi - lo]
-                    g_blk = _activation_grad(g_out, hidden[i][lo:hi], activations[i], dst)
-        grads = [(g_pre[0] @ layers[0][0].data.T).reshape(x.shape) if x.requires_grad else None]
-        for layer_in, gp, (w, b) in zip([x2] + hidden, g_pre, layers):
-            grads.append(layer_in.T @ gp if w.requires_grad else None)
-            grads.append(_unbroadcast(gp.reshape(lead + (w.shape[1],)), b.shape)
-                         if b.requires_grad else None)
+        grads = _mlp_backward(g.reshape(data.shape), x2, lead, layers, activations, data,
+                              hidden, blocks, x.requires_grad)
+        if grads[0] is not None:
+            grads[0] = grads[0].reshape(x.shape)
         return grads
 
     return _record("mlp", inputs, out, grad_fn)
+
+
+def affine_coupling(h, split: int, scale, translate, inverse: bool = False) -> Tensor:
+    """An affine coupling over the variates of h as one tape node.
+
+    h is [batch, length, variates]; h1 = h[..., :split] passes through and
+    conditions h2, the rest. `scale` and `translate` are each a
+    (layers, activations) pair as `mlp` takes it, from `split` features to
+    `variates - split`. Forward gives h2 * exp(scale(h1)) + translate(h1),
+    and `inverse` (h2 - translate(h1)) / exp(scale(h1)).
+
+    Both directions run the numpy operations of the op chain (slice_axis,
+    mlp, exp, mul and add or sub and div, concat) in its order, with its
+    finite checks, and sum h1's gradient in its order, so the output and
+    every gradient are bit-identical to it. h1 is read as a view, and the
+    two halves are written into one output array.
+    """
+    h = _as_tensor(h)
+    if h.ndim != 3:
+        raise DimensionError(f"affine_coupling: expects [batch, length, variates], got {h.shape}")
+    batch, length, width = h.shape
+    if not 1 <= split < width:
+        raise DimensionError(f"affine_coupling: split {split} outside 1..{width - 1}")
+    nets = []
+    for name, (layers, activations) in (("scale", scale), ("translate", translate)):
+        layers, activations = _mlp_layers(f"affine_coupling {name}", layers, activations,
+                                          split)
+        if layers[-1][0].shape[1] != width - split:
+            raise DimensionError(f"affine_coupling: {name} net gives {layers[-1][0].shape[1]} "
+                                 f"outputs for {width - split} variates")
+        nets.append((layers, activations))
+    (s_layers, s_acts), (t_layers, t_acts) = nets
+    s_params = [t for pair in s_layers for t in pair]
+    t_params = [t for pair in t_layers for t in pair]
+    inputs = (h, *s_params, *t_params)
+    taped = _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+    lead, half = (batch, length), (batch, length, width - split)
+    x1 = h.data[..., :split].reshape(-1, split)
+    h2 = h.data[..., split:]
+    data = np.empty(h.shape)
+    data[..., :split] = h.data[..., :split]
+    out2 = data[..., split:]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if inverse:
+            t_out, t_hidden, t_blocks = _mlp_forward(x1, t_layers, t_acts, taped)
+            diff = np.subtract(h2, t_out.reshape(half))
+            _check_finite(diff, "sub")
+        s_out, s_hidden, s_blocks = _mlp_forward(x1, s_layers, s_acts, taped)
+        factor = np.exp(s_out.reshape(half))
+        _check_finite(factor, "exp (overflow)")
+        if inverse:
+            np.divide(diff, factor, out=out2)
+            _check_finite(out2, "div (zero or overflowing denominator)")
+        else:
+            np.multiply(h2, factor, out=out2)
+            _check_finite(out2, "mul")
+            t_out, t_hidden, t_blocks = _mlp_forward(x1, t_layers, t_acts, taped)
+            np.add(out2, t_out.reshape(half), out=out2)
+            _check_finite(out2, "add")
+
+    def grad_fn(g):
+        h_grad = h.requires_grad
+        s_grad = h_grad or any(t.requires_grad for t in s_params)
+        t_grad = h_grad or any(t.requires_grad for t in t_params)
+        g2 = np.ascontiguousarray(g[..., split:])
+        if inverse:
+            g_diff = np.divide(g2, factor) if t_grad else None
+            g_factor = _div_grad_b(g2, diff, factor) if s_grad else None
+            g_h2, g_t = g_diff, (np.negative(g_diff) if t_grad else None)
+        else:
+            g_h2 = np.multiply(g2, factor) if h_grad else None
+            g_factor = np.multiply(g2, h2) if s_grad else None
+            g_t = g2 if t_grad else None
+        s_grads = t_grads = None
+        if g_t is not None:
+            t_grads = _mlp_backward(g_t.reshape(t_out.shape), x1, lead, t_layers, t_acts,
+                                    t_out, t_hidden, t_blocks, h_grad)
+        if g_factor is not None:
+            np.multiply(g_factor, factor, out=g_factor)  # exp's backward
+            s_grads = _mlp_backward(g_factor.reshape(s_out.shape), x1, lead, s_layers, s_acts,
+                                    s_out, s_hidden, s_blocks, h_grad)
+        g_h = None
+        if h_grad:
+            # h1's gradient sums as the chain visits its nodes: the net recorded
+            # last comes first
+            first, second = (s_grads, t_grads) if inverse else (t_grads, s_grads)
+            g_h = np.empty(h.shape)
+            g1 = g[..., :split] + first[0].reshape(lead + (split,))
+            np.add(g1, second[0].reshape(g1.shape), out=g_h[..., :split])
+            g_h[..., split:] = g_h2
+            # the chain adds the two slices' zero-padded gradients, which turns
+            # -0.0 into 0.0
+            g_h += 0.0
+        return (g_h, *(s_grads[1:] if s_grads else [None] * len(s_params)),
+                *(t_grads[1:] if t_grads else [None] * len(t_params)))
+
+    return _record("affine_coupling", inputs, _make(data), grad_fn)
 
 
 def _reduce_axis(op: str, a, axis: int, keepdims: bool, rule) -> Tensor:

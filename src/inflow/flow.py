@@ -145,31 +145,18 @@ class CouplingLayer:
                                  activate_last=True)
             self.translate_net = MLP(sizes, "tanh", rng=rng, zero_init_last=True)
 
-    def _split(self, h: Tensor) -> tuple[Tensor, Tensor]:
-        d_c = self.split_index
-        return (
-            ad.slice_axis(h, axis=2, start=0, stop=d_c),
-            ad.slice_axis(h, axis=2, start=d_c, stop=self.num_variates),
-        )
-
-    def _scale(self, conditioner: Tensor) -> Tensor:
-        return ad.exp(self.scale_net(conditioner))
+    def _couple(self, h: Tensor, op: str, inverse: bool) -> Tensor:
+        _check_window(h, op, self.num_variates)
+        if self.scale_net is None:
+            return h
+        return ad.affine_coupling(h, self.split_index, self.scale_net.spec(),
+                                  self.translate_net.spec(), inverse=inverse)
 
     def forward(self, h: Tensor) -> Tensor:
-        _check_window(h, "coupling forward", self.num_variates)
-        if self.scale_net is None:
-            return h
-        h1, h2 = self._split(h)
-        out2 = h2 * self._scale(h1) + self.translate_net(h1)
-        return ad.concat([h1, out2], axis=2)
+        return self._couple(h, "coupling forward", inverse=False)
 
     def inverse(self, h: Tensor) -> Tensor:
-        _check_window(h, "coupling inverse", self.num_variates)
-        if self.scale_net is None:
-            return h
-        h1, h2 = self._split(h)
-        out2 = (h2 - self.translate_net(h1)) / self._scale(h1)
-        return ad.concat([h1, out2], axis=2)
+        return self._couple(h, "coupling inverse", inverse=True)
 
     def parameters(self) -> dict[str, Tensor]:
         if self.scale_net is None:

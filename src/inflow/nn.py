@@ -68,9 +68,12 @@ class MLP:
                 Dense(sizes[i], sizes[i + 1], rng=rng, zero_init=zero_init_last and last)
             )
 
+    def spec(self) -> tuple[list, list]:
+        """The (layers, activations) pair that `ad.mlp` and `ad.affine_coupling` take."""
+        return [(layer.weight, layer.bias) for layer in self.layers], self.activations
+
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.mlp(x, [(layer.weight, layer.bias) for layer in self.layers],
-                      self.activations)
+        return ad.mlp(x, *self.spec())
 
     def parameters(self) -> dict[str, Tensor]:
         return prefixed({f"layer{i}": layer for i, layer in enumerate(self.layers)})

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+import weakref
 import zlib
 from pathlib import Path
 
@@ -568,10 +569,31 @@ def test_backward_keeps_only_leaf_gradients():
     with Tape() as tape:
         h = ad.mlp(x, [(w, b)], ["tanh"])
         loss = ad.mean_all(ad.exp(h) * h)
-    grads = tape.backward(loss)
     produced = {node.output.uid for node in tape.nodes}
+    grads = tape.backward(loss)
     assert set(grads) == set(tape.gradients) == {x.uid, w.uid, b.uid}
     assert produced.isdisjoint(tape.gradients)
+
+
+def test_backward_frees_each_node_as_it_visits_it():
+    x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+    with Tape() as tape:
+        a = ad.exp(x)
+        b = ad.exp(a)  # from here on only the tape holds b's array
+        loss = ad.sum_all(b * 2.0)
+    freed = weakref.ref(b.data)
+    del a, b
+    seen = []
+
+    def first_backward(g, rule=tape.nodes[0].backward):
+        seen.append(freed() is None)
+        return rule(g)
+
+    tape.nodes[0].backward = first_backward
+    tape.backward(loss)
+    # visited last, the first node runs after every later node was dropped
+    assert seen == [True]
+    assert tape.nodes == []
 
 
 def test_backward_accumulates_fan_out_before_use():
@@ -594,6 +616,30 @@ def test_backward_accumulates_fan_out_before_use():
 def test_affine_norm_shape_errors(shapes):
     with pytest.raises(DimensionError, match="affine_norm"):
         ad.affine_norm(*[Tensor(np.ones(s)) for s in shapes], eps=1e-5)
+
+
+def _coupling_net(split, width, hidden=4):
+    return ([(np.ones((split, hidden)), np.zeros(hidden)),
+             (np.ones((hidden, width - split)), np.zeros(width - split))], ["tanh", None])
+
+
+@pytest.mark.parametrize("shape,split", [
+    ((2, 4), 1),       # h is not a window
+    ((2, 4, 3), 0),    # no conditioner
+    ((2, 4, 3), 3),    # nothing to transform
+    ((2, 4, 3), -1),
+], ids=["rank", "split_none", "split_all", "split_negative"])
+def test_affine_coupling_shape_errors(shape, split):
+    net = _coupling_net(1, 3)
+    with pytest.raises(DimensionError, match="affine_coupling"):
+        ad.affine_coupling(np.ones(shape), split, net, net)
+
+
+def test_affine_coupling_net_widths_must_fit_the_split():
+    with pytest.raises(DimensionError, match="affine_coupling scale: layer 0"):
+        ad.affine_coupling(np.ones((2, 4, 5)), 3, _coupling_net(2, 5), _coupling_net(3, 5))
+    with pytest.raises(DimensionError, match="translate net gives 4 outputs for 3"):
+        ad.affine_coupling(np.ones((2, 4, 5)), 2, _coupling_net(2, 5), _coupling_net(2, 6))
 
 
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])

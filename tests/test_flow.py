@@ -5,7 +5,7 @@ import pytest
 
 from inflow import autodiff as ad
 from inflow.autodiff import Tape, Tensor
-from inflow.errors import ConfigError, ContractError
+from inflow.errors import ConfigError, ContractError, NumericError
 from inflow.flow import (
     VARIANTS,
     BatchNormLayer,
@@ -166,41 +166,116 @@ class TestCoupling:
 
         check_gradients(loss_fn, tensors, rng, num_probes=50)
 
-    def test_scale_tanh_is_folded_into_the_net(self):
-        rng = np.random.default_rng(9)
-        layer = CouplingLayer(5, hidden=16, rng=rng)
+    @staticmethod
+    def _random_layer(rng, variates=5, hidden=16):
+        layer = CouplingLayer(variates, hidden=hidden, rng=rng)
         for p in layer.parameters().values():
             p.data[:] = rng.normal(size=p.shape) * 0.4
-        x = Tensor(rng.uniform(-2, 2, size=(40, 48, 5)), requires_grad=True)
-        tensors = [x] + list(layer.parameters().values())
+        return layer
 
-        def chain(net, h, last):
-            for i, dense in enumerate(net.layers):
-                h = ad.matmul(h, dense.weight) + dense.bias
-                if i < len(net.layers) - 1 or last:
-                    h = ad.tanh(h)
-            return h
-
-        def old_forward(h):  # the op chain before the scale's tanh moved into its net
-            h1, h2 = layer._split(h)
-            scale = ad.exp(ad.tanh(chain(layer.scale_net, h1, last=False)))
-            return ad.concat([h1, h2 * scale + chain(layer.translate_net, h1, False)], axis=2)
-
-        weights = Tensor(rng.normal(size=x.shape))
-        results = []
-        for forward in (layer.forward, old_forward):
-            with Tape() as tape:
-                out = forward(x)
-                loss = ad.sum_all(out * weights)
-            tape.backward(loss)
-            results.append([out.data] + [tape.grad(t) for t in tensors])
-            ops = [node.op for node in tape.nodes]
-        assert ops.count("tanh") == 5  # the old chain; the layer itself records none
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want)
+    @staticmethod
+    def _taped(run, x, params, weights):
+        """run(x)'s output, its op names, and the gradients of sum(out * weights)."""
         with Tape() as tape:
-            layer.forward(x)
-        assert "tanh" not in [node.op for node in tape.nodes]
+            out = run(x)
+            loss = ad.sum_all(out * weights)
+        ops = [node.op for node in tape.nodes]
+        tape.backward(loss)
+        return out.data, ops, [tape.grad(t) for t in [x] + params]
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_scale_tanh_is_folded_into_the_net(self, inverse):
+        rng = np.random.default_rng(9)
+        layer = self._random_layer(rng)
+        x = Tensor(rng.uniform(-2, 2, size=(40, 48, 5)), requires_grad=True)
+        params = list(layer.parameters().values())
+        assert len(params) == 12
+        weights = Tensor(rng.normal(size=x.shape))
+        s_layers, s_acts = layer.scale_net.spec()
+
+        def squashed_scale(h1):  # the scale's tanh as its own op, outside the net
+            return ad.tanh(ad.mlp(h1, s_layers, s_acts[:-1] + [None]))
+
+        out, ops, grads = self._taped(layer.inverse if inverse else layer.forward,
+                                      x, params, weights)
+        chain_out, chain_ops, chain_grads = self._taped(
+            lambda h: _chain_coupling(h, layer.split_index, squashed_scale,
+                                      layer.translate_net, inverse),
+            x, params, weights)
+        assert ops == ["affine_coupling", "mul", "sum_all"]
+        assert chain_ops.count("tanh") == 1
+        np.testing.assert_array_equal(out, chain_out)
+        for got, want in zip(grads, chain_grads):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_frozen_nets_get_no_gradient(self, inverse):
+        rng = np.random.default_rng(10)
+        layer = self._random_layer(rng)
+        x = Tensor(rng.uniform(-2, 2, size=(6, 48, 5)), requires_grad=True)
+        params = list(layer.parameters().values())
+        for p in params:
+            p.requires_grad = False
+        weights = Tensor(rng.normal(size=x.shape))
+        run = layer.inverse if inverse else layer.forward
+        with Tape() as tape:
+            run(x)
+        (node,) = tape.nodes
+        grads = node.backward(weights.data)
+        assert grads[0] is not None and all(g is None for g in grads[1:])
+        assert len(grads) == 13
+        _, _, fused = self._taped(run, x, params, weights)
+        _, _, chain = self._taped(
+            lambda h: _chain_coupling(h, layer.split_index, layer.scale_net,
+                                      layer.translate_net, inverse),
+            x, params, weights)
+        np.testing.assert_array_equal(fused[0], chain[0])
+        np.testing.assert_array_equal(grads[0], chain[0])
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    @pytest.mark.parametrize("fault", ["overflow", "underflow", "nan_conditioner",
+                                       "nan_transformed"])
+    def test_non_finite_is_named_as_the_chain_names_it(self, fault, inverse):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.uniform(-2, 2, size=(3, 8, 4)))
+        layer = self._random_layer(rng, variates=4, hidden=6)
+        # a linear scale output, so exp can overflow or underflow
+        s_layers, s_acts = layer.scale_net.spec()
+        s_acts = s_acts[:-1] + [None]
+        if fault in ("overflow", "underflow"):
+            s_layers[-1][1].data[:] = 800.0 if fault == "overflow" else -800.0
+        else:
+            x.data[1, 2, 0 if fault == "nan_conditioner" else 3] = np.nan
+        names = []
+        for run in (
+                lambda: ad.affine_coupling(x, 2, (s_layers, s_acts),
+                                           layer.translate_net.spec(), inverse=inverse),
+                lambda: _chain_coupling(x, 2, lambda h1: ad.mlp(h1, s_layers, s_acts),
+                                        layer.translate_net, inverse)):
+            if fault == "underflow" and not inverse:  # a zero scale is finite
+                run()
+                continue
+            with pytest.raises(NumericError) as err:
+                run()
+            names.append(str(err.value))
+        assert names[:1] == names[1:]
+        want = {"overflow": "exp (overflow)",
+                "underflow": "div (zero or overflowing denominator)",
+                "nan_conditioner": "mlp layer 0",
+                "nan_transformed": "sub" if inverse else "mul"}[fault]
+        assert all(name.endswith(f"produced by {want}") for name in names)
+
+
+def _chain_coupling(h, split, scale, translate, inverse):
+    """The op chain that one affine_coupling node replaces; scale(h1) is the
+    exponent of the scale."""
+    h1 = ad.slice_axis(h, axis=2, start=0, stop=split)
+    h2 = ad.slice_axis(h, axis=2, start=split, stop=h.shape[2])
+    if inverse:
+        out2 = (h2 - translate(h1)) / ad.exp(scale(h1))
+    else:
+        out2 = h2 * ad.exp(scale(h1)) + translate(h1)
+    return ad.concat([h1, out2], axis=2)
 
 
 class TestPermute:
