@@ -575,7 +575,7 @@ def affine_coupling(h, split: int, scale, translate, inverse: bool = False) -> T
     mlp, exp, mul and add or sub and div, concat) in its order, with its
     finite checks, and sum h1's gradient in its order, so the output and
     every gradient are bit-identical to it. h1 is read as a view, and the
-    two halves are written into one output array.
+    output is one array: a copy of h with the updated h2 written in.
     """
     h = _as_tensor(h)
     if h.ndim != 3:
@@ -598,10 +598,9 @@ def affine_coupling(h, split: int, scale, translate, inverse: bool = False) -> T
     taped = _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
     lead, half = (batch, length), (batch, length, width - split)
     x1 = h.data[..., :split].reshape(-1, split)
-    h2 = h.data[..., split:]
-    data = np.empty(h.shape)
-    data[..., :split] = h.data[..., :split]
-    out2 = data[..., split:]
+    # numpy runs an elementwise op over a strided [..., split:] view one short
+    # row at a time, so h2 is gathered once and the update runs contiguously
+    h2 = np.ascontiguousarray(h.data[..., split:])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if inverse:
             t_out, t_hidden, t_blocks = _mlp_forward(x1, t_layers, t_acts, taped)
@@ -611,14 +610,17 @@ def affine_coupling(h, split: int, scale, translate, inverse: bool = False) -> T
         factor = np.exp(s_out.reshape(half))
         _check_finite(factor, "exp (overflow)")
         if inverse:
-            np.divide(diff, factor, out=out2)
+            out2 = np.divide(diff, factor)
             _check_finite(out2, "div (zero or overflowing denominator)")
         else:
-            np.multiply(h2, factor, out=out2)
+            out2 = np.multiply(h2, factor)
             _check_finite(out2, "mul")
             t_out, t_hidden, t_blocks = _mlp_forward(x1, t_layers, t_acts, taped)
             np.add(out2, t_out.reshape(half), out=out2)
             _check_finite(out2, "add")
+    data = h.data.copy()
+    data[..., split:] = out2
+    del out2
 
     def grad_fn(g):
         h_grad = h.requires_grad
@@ -646,13 +648,13 @@ def affine_coupling(h, split: int, scale, translate, inverse: bool = False) -> T
             # h1's gradient sums as the chain visits its nodes: the net recorded
             # last comes first
             first, second = (s_grads, t_grads) if inverse else (t_grads, s_grads)
-            g_h = np.empty(h.shape)
             g1 = g[..., :split] + first[0].reshape(lead + (split,))
-            np.add(g1, second[0].reshape(g1.shape), out=g_h[..., :split])
-            g_h[..., split:] = g_h2
+            np.add(g1, second[0].reshape(g1.shape), out=g1)
             # the chain adds the two slices' zero-padded gradients, which turns
             # -0.0 into 0.0
-            g_h += 0.0
+            g_h = np.empty(h.shape)
+            np.add(g1, 0.0, out=g_h[..., :split])
+            np.add(g_h2, 0.0, out=g_h[..., split:])
         return (g_h, *(s_grads[1:] if s_grads else [None] * len(s_params)),
                 *(t_grads[1:] if t_grads else [None] * len(t_params)))
 
