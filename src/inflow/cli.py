@@ -191,7 +191,10 @@ def _named(section: str, values, check, renames: dict[str, str] | None = None) -
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value has the annotated type: an int fits a float, None an X | None."""
+    """Whether a JSON value has the annotated type: an int fits a float, None an X | None.
+
+    A float must be finite: JSON readers accept NaN and Infinity, and no option takes them.
+    """
     if get_origin(hint) in (list, tuple):
         if not isinstance(value, (list, tuple)):
             return False
@@ -200,7 +203,8 @@ def _fits(value, hint) -> bool:
     if get_args(hint):
         return any(_fits(value, a) for a in get_args(hint))
     kinds = (int, float) if hint is float else hint
-    return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
+    return (isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
+            and (hint is not float or math.isfinite(value)))
 
 
 def _checked(owner: type, key: str, value, label: str):

@@ -63,9 +63,6 @@ class SyntheticConfig:
             )
         return cls(tau=SYNTHETIC_PRESETS[name], seed=seed, **overrides)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SeriesDataset:
@@ -144,7 +141,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> SeriesDataset:
     t_total = cfg.total_length
     num_segments = math.ceil(t_total / cfg.tau)
     starts = np.arange(num_segments) * cfg.tau
-    stops = np.minimum(starts + cfg.tau, t_total)
     # per segment, the (low, high) of amplitude, period, phase and level
     low = np.empty((num_segments, 4))
     high = np.empty((num_segments, 4))
@@ -168,22 +164,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> SeriesDataset:
     values *= amp[:, None]
     values += level[:, None]
     values = values.reshape(-1, cfg.num_series)[:t_total]
-    # provenance holds Python ints and floats, so it stays JSON-serializable
-    segment_params = []
-    for d in range(cfg.num_series):
-        columns = (col[:, d].tolist() for col in (amp, period, phase, level))
-        segment_params.append([
-            {"start": start, "stop": stop, "amplitude": a, "period": p, "phase": ph,
-             "level": lv}
-            for start, stop, a, p, ph, lv in zip(starts.tolist(), stops.tolist(), *columns)
-        ])
     train_end, val_end = _split_points(t_total, (6, 2, 2))
     return SeriesDataset(
         values=values,
         train_end=train_end,
         val_end=val_end,
-        provenance={"kind": "synthetic", "config": cfg.to_dict(),
-                    "segments": segment_params},
+        provenance={"kind": "synthetic", "config": asdict(cfg)},
     )
 
 
@@ -257,7 +243,7 @@ def save_csv(ds: SeriesDataset, path: str | Path) -> None:
 
 def write_manifest(ds: SeriesDataset, path: str | Path) -> None:
     manifest = {
-        "provenance": {k: v for k, v in ds.provenance.items() if k != "segments"},
+        "provenance": ds.provenance,
         "columns": ds.columns,
         "num_steps": ds.num_steps,
         "num_variates": ds.num_variates,

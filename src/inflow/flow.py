@@ -50,27 +50,28 @@ class InstanceNormLayer:
         self.eps = eps
         self.log_scale = Tensor(np.zeros(num_variates), requires_grad=True)
         self.shift = Tensor(np.zeros(num_variates), requires_grad=True)
-        self._cache: tuple[Tensor, Tensor, int | None] | None = None
+        self._cache: tuple[Tensor, Tensor] | None = None
 
-    def _statistics(self, h: Tensor) -> tuple[Tensor, Tensor, int | None]:
-        """The mean and variance that normalize h, and the batch they belong to (None: any)."""
+    def _statistics(self, h: Tensor) -> tuple[Tensor, Tensor]:
+        """The mean and variance that normalize h, per instance: [batch, 1, variates]."""
         mu = ad.mean_axis(h, axis=1, keepdims=True)
         var = ad.var_axis(h, axis=1, keepdims=True, mean=mu)
-        return mu, var, h.shape[0]
+        return mu, var
 
     def forward(self, h: Tensor) -> Tensor:
         _check_window(h, f"{self.name} forward", self.num_variates)
-        mu, var, _ = self._cache = self._statistics(h)
+        mu, var = self._cache = self._statistics(h)
         return ad.affine_norm(h, mu, var, self.log_scale, self.shift, self.eps)
 
     def inverse(self, h: Tensor) -> Tensor:
         _check_window(h, f"{self.name} inverse", self.num_variates)
         if self._cache is None:
             raise ContractError(f"{self.name} inverse called before any forward")
-        mu, var, batch = self._cache
-        if batch is not None and h.shape[0] != batch:
+        mu, var = self._cache
+        # per-instance statistics belong to one batch; pooled ones ([variates]) to any
+        if mu.ndim == 3 and h.shape[0] != mu.shape[0]:
             raise ContractError(
-                f"inverse batch {h.shape[0]} does not match cached forward batch {batch}"
+                f"inverse batch {h.shape[0]} does not match cached forward batch {mu.shape[0]}"
             )
         return ad.affine_norm(h, mu, var, self.log_scale, self.shift, self.eps, inverse=True)
 
@@ -100,16 +101,16 @@ class BatchNormLayer(InstanceNormLayer):
         self.running_var = Tensor(np.ones(num_variates))
         self.training = True
 
-    def _statistics(self, h: Tensor) -> tuple[Tensor, Tensor, None]:
+    def _statistics(self, h: Tensor) -> tuple[Tensor, Tensor]:
         if not self.training:
-            return self.running_mean, self.running_var, None
+            return self.running_mean, self.running_var
         flat = ad.reshape(h, (h.shape[0] * h.shape[1], h.shape[2]))
         mu = ad.mean_axis(flat, axis=0)
         var = ad.var_axis(flat, axis=0, mean=mu)
         m = BN_MOMENTUM
         self.running_mean.data = (1 - m) * self.running_mean.data + m * mu.data
         self.running_var.data = (1 - m) * self.running_var.data + m * var.data
-        return mu, var, None
+        return mu, var
 
     def buffers(self) -> dict[str, Tensor]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}

@@ -121,7 +121,7 @@ def loss_l2(y_hat: Tensor, y: Tensor) -> Tensor:
 
 
 def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict, bool]:
-    if max_norm <= 0 or not grads:
+    if max_norm <= 0:
         return grads, False
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total <= max_norm:
@@ -132,14 +132,11 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[
 
 @dataclass
 class BiLevelState:
-    """Optimizer state for both parameter groups plus run bookkeeping."""
+    """Optimizer state for both parameter groups, and what the update steps log."""
 
     theta_opt: Adam
     phi_opt: Adam
     update_log: list[tuple[str, str]] = field(default_factory=list)
-    best_val_loss: float = float("inf")
-    best_epoch: int | None = None
-    epochs_since_improve: int = 0
     clipped_steps: int = 0
 
     @classmethod
@@ -277,6 +274,9 @@ def train(pipeline: ForecastPipeline, windows: list[WindowPair], cfg: TrainConfi
 
     history: list[tuple[float, float]] = []
     best_snapshot = None
+    best_val_loss = float("inf")
+    best_epoch = None
+    epochs_since_improve = 0
     opts = (state.theta_opt, state.phi_opt) if cfg.mode == "joint" else (state.theta_opt,)
     sub_step = "joint" if cfg.mode == "joint" else "theta"
     for epoch in range(1, cfg.max_epochs + 1):
@@ -294,22 +294,22 @@ def train(pipeline: ForecastPipeline, windows: list[WindowPair], cfg: TrainConfi
                                          batch_size=cfg.batch_size)
         val_loss = val_report.mse
         history.append((float(np.mean(epoch_losses)), val_loss))
-        if val_loss < state.best_val_loss:
-            state.best_val_loss = val_loss
-            state.best_epoch = epoch
-            state.epochs_since_improve = 0
+        if val_loss < best_val_loss:
+            best_val_loss = val_loss
+            best_epoch = epoch
+            epochs_since_improve = 0
             best_snapshot = pipeline.snapshot()
         else:
-            state.epochs_since_improve += 1
-            if state.epochs_since_improve >= cfg.patience:
+            epochs_since_improve += 1
+            if epochs_since_improve >= cfg.patience:
                 break
     if best_snapshot is not None:
         pipeline.load_state(best_snapshot)
     pipeline.eval_mode()
     report = RunReport(
         loss_history=history,
-        best_epoch=state.best_epoch,
-        best_val_loss=None if state.best_epoch is None else state.best_val_loss,
+        best_epoch=best_epoch,
+        best_val_loss=None if best_epoch is None else best_val_loss,
         seed=cfg.seed,
         mode=cfg.mode,
         config_hash=cfg.hash(),

@@ -107,8 +107,13 @@ class TestConfig:
         ("train", {"model": {"backbone": "nbeats_lite", "nbeats_blocks": -1}}, [],
          "model.nbeats_blocks"),
         ("train", {}, ["--seed", "1", "--seed", "1"], "seeds"),
+        # json writes these as the NaN and Infinity tokens that its reader accepts
+        ("train", {"train": {"inner_lr": float("nan")}}, [], "train.inner_lr"),
+        ("train", {"train": {"outer_lr": float("inf")}}, [], "train.outer_lr"),
+        ("train", {"train": {"clip_norm": float("-inf")}}, [], "train.clip_norm"),
     ], ids=["seed_flag", "dataset_seed", "synth_dataset_seed", "flow_hidden",
-            "hidden_width_zero", "hidden_width_negative", "nbeats_blocks", "seed_repeated"])
+            "hidden_width_zero", "hidden_width_negative", "nbeats_blocks", "seed_repeated",
+            "inner_lr_nan", "outer_lr_infinity", "clip_norm_minus_infinity"])
     def test_out_of_range_value_exits_2_before_writing(self, tmp_path, capsys, command,
                                                        overrides, flags, key):
         cfg = tiny_config(tmp_path / "run").to_dict()
@@ -483,6 +488,33 @@ class TestAblate:
         inflow_row = next(row for row in table if row["variant"] == "inflow")
         assert inflow_row["per_seed"] == [[r["seed"], r["test_mse"], r["test_mae"]]
                                           for r in results]
+
+    def test_failed_variant_is_reported_and_left_out_of_the_figures(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        records = [
+            {"variant": "inflow", "status": "ok", "anchor_hash": "abc",
+             "per_seed": [(0, 1.0, 0.5), (1, 3.0, 1.5)]},
+            # a worker's failed record carries no anchor hash
+            {"variant": "revin", "status": "failed", "error": "NumericError: overflow"},
+        ]
+        monkeypatch.setattr(cli, "run_roster", lambda cfg, variants, out: records)
+        out = cmd_ablate(tiny_config(tmp_path / "ablation"))
+        ablation = json.loads((out / "ablation.json").read_text())
+        assert ablation["anchor_hash"] == "abc"
+        assert ablation["table"] == [
+            {"variant": "inflow", "status": "ok", "mse_mean": 2.0, "mse_std": 1.0,
+             "mae_mean": 1.0, "mae_std": 0.5, "per_seed": [[0, 1.0, 0.5], [1, 3.0, 1.5]]},
+            {"variant": "revin", "status": "failed", "error": "NumericError: overflow"},
+        ]
+        assert (out / "ablation.csv").read_text().splitlines() == [
+            "variant,status,mse_mean,mse_std,mae_mean,mae_std",
+            "inflow,ok,2.0,1.0,1.0,0.5",
+            "revin,failed,,,,",
+        ]
+        assert capsys.readouterr().out.splitlines() == [
+            "inflow     mse=2±1 mae=1±0.5",
+            "revin      FAILED: NumericError: overflow",
+        ]
 
     def test_workers_start_with_one_blas_thread(self, tmp_path, monkeypatch):
         # the roster's tiny shapes start no BLAS threads, so a real pool cannot show the pin

@@ -12,6 +12,7 @@ from inflow.training import (
     BiLevelState,
     TrainConfig,
     bilevel_step,
+    clip_by_global_norm,
     loss_l2,
     stack_windows,
     train,
@@ -342,6 +343,23 @@ class TestTrain:
         pipe, report = train(linear_pipeline(), windows, cfg)
         assert {k for k, _ in report.update_log} == {"theta"}
         assert pipe.phi_parameters() == {}
+
+    def test_clip_norm_zero_disables_clipping(self):
+        grads = {"w": np.array([30.0, 40.0]), "b": np.array([120.0])}
+        assert clip_by_global_norm(grads, 0.0) == (grads, False)
+        clipped, was_clipped = clip_by_global_norm(grads, 13.0)
+        assert was_clipped
+        np.testing.assert_allclose(clipped["w"], [3.0, 4.0])
+        # a steep ramp gives gradients far above the default norm of 5
+        windows = make_windows(ramp_dataset(total=100, slope=50.0), 4, 2)
+
+        def clipped_steps(clip_norm):
+            cfg = TrainConfig(max_epochs=1, batch_size=16, mode="backbone_only",
+                              clip_norm=clip_norm)
+            return train(linear_pipeline(), windows, cfg)[1].clipped_steps
+
+        assert clipped_steps(5.0) > 0
+        assert clipped_steps(0.0) == 0
 
     def test_early_stop_patience_one_on_worsening_val(self):
         # one window per region, identical inputs, opposite targets: every
